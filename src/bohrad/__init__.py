@@ -61,7 +61,7 @@ from .radii import (
 )
 from .series import CoefficientStream, HarmonicMap, hadamard, majorant, taylor_mobius
 from .specfun import HypergeomParams, gauss_2f1, lerch_phi, pochhammer, polylog
-from .weights import TailSum, WeightFamily, condition_gap, tail_sum, tail_value, weight_at
+from .weights import TailSum, WeightFamily, tail_sum, tail_value, weight_at
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "boundary_points",
     "catalog_solver",
     "closed_form_radius",
-    "condition_gap",
     "empirical_bohr_radius",
     "gauss_2f1",
     "hadamard",

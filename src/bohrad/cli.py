@@ -27,48 +27,20 @@ from .errors import BohrError
 from .extremal import ExtremalParams, boundary_points, harmonic_extremal, mobius_extremal, subordination_extremal
 from .functionals import harmonic_functional, lambda_one, lambda_zero, q_functional, refined_functional
 from .radii import (
+    _CATALOG,
     DEFAULT_A_GRID,
+    _closed_form_for,
+    _solve_kind,
     analytic_problem,
-    analytic_radius,
     catalog_solver,
     closed_form_radius,
     harmonic_problem,
-    harmonic_radius,
-    hypergeom_radius,
     sharpness_probe,
     subordination_problem,
-    subordination_radius,
 )
 from .series import hadamard, CoefficientStream
-from .specfun import pochhammer
+from .specfun import HypergeomParams
 from .weights import WeightFamily, weight_at
-
-_CASES = (
-    "classical",
-    "power",
-    "even",
-    "odd",
-    "linear_shift",
-    "weighted_n",
-    "harmonic_p1",
-    "harmonic_p2",
-    "binomial",
-    "subordination",
-)
-
-# parameter names each catalog case consumes
-_CASE_PARAMS = {
-    "classical": ("gamma",),
-    "power": ("p", "gamma"),
-    "even": ("p", "gamma"),
-    "odd": ("p", "gamma"),
-    "linear_shift": ("p", "gamma"),
-    "weighted_n": ("p", "gamma"),
-    "harmonic_p1": ("gamma", "k"),
-    "harmonic_p2": ("gamma", "k"),
-    "binomial": ("p", "gamma", "y"),
-    "subordination": ("K",),
-}
 
 
 def _fmt(x) -> str:
@@ -164,7 +136,7 @@ def _radius_row(case, family_name, kind, p, gamma, k, K, y, closed, result) -> d
 
 def _cmd_radius(args) -> int:
     if args.case:
-        params = {name: getattr(args, name if name != "K" else "big_k") for name in _CASE_PARAMS[args.case]}
+        params = {name: getattr(args, name if name != "K" else "big_k") for name in _CATALOG[args.case].params}
         closed = closed_form_radius(args.case, **params)
         result = catalog_solver(args.case, tol=args.tol, **params)
         row = _radius_row(
@@ -174,12 +146,7 @@ def _cmd_radius(args) -> int:
         )
     else:
         family = _family_from_args(args)
-        if args.kind == "analytic":
-            result = analytic_radius(family, args.p, args.gamma, args.tol)
-        elif args.kind == "harmonic":
-            result = harmonic_radius(family, args.p, args.gamma, args.k, args.tol)
-        else:
-            result = subordination_radius(family, args.k, args.tol)
+        result = _solve_kind(args.kind, family, args.p, args.gamma, args.k, args.tol)
         row = _radius_row(
             None, family.name, args.kind, args.p, args.gamma, args.k, None, None, None, result
         )
@@ -193,13 +160,8 @@ def _cmd_table(args) -> int:
         for gamma in _grid(args.gamma):
             for k in _grid(args.k):
                 family = _family_from_args(args)
-                if args.kind == "analytic":
-                    result = analytic_radius(family, p, gamma, args.tol)
-                elif args.kind == "harmonic":
-                    result = harmonic_radius(family, p, gamma, k, args.tol)
-                else:
-                    result = subordination_radius(family, k, args.tol)
-                closed = _closed_for(args.family, args.kind, p, gamma, k, args)
+                result = _solve_kind(args.kind, family, p, gamma, k, args.tol)
+                closed = _closed_form_for(family, args.kind, p, gamma, k)
                 row = _radius_row(
                     None, family.name, args.kind, p, gamma, k, None, None, closed, result
                 )
@@ -209,36 +171,6 @@ def _cmd_table(args) -> int:
                 rows.append(row)
     _emit("table", rows, _RADIUS_COLUMNS + ["mismatch"], args)
     return 0
-
-
-def _closed_for(family_name, kind, p, gamma, k, args):
-    """Catalog formula matching a swept (family, kind, p) combination, if any."""
-    if kind == "analytic":
-        if family_name == "power":
-            return closed_form_radius("power", p=p, gamma=gamma)
-        if family_name == "even":
-            return closed_form_radius("even", p=p, gamma=gamma)
-        if family_name == "odd":
-            return closed_form_radius("odd", p=p, gamma=gamma)
-        if family_name == "shifted-linear" and args.start == 1:
-            return closed_form_radius("linear_shift", p=p, gamma=gamma)
-        if family_name == "power-alpha" and args.alpha == 1.0 and args.start == 1:
-            return closed_form_radius("weighted_n", p=p, gamma=gamma)
-        if family_name == "hypergeom" and args.abc:
-            a, b, c = (float(x) for x in args.abc.split(","))
-            if b == 1.0 and c == 1.0:
-                return closed_form_radius("binomial", p=p, gamma=gamma, y=a)
-        return None
-    if kind == "harmonic" and family_name == "power":
-        if p == 1.0:
-            return closed_form_radius("harmonic_p1", gamma=gamma, k=k)
-        if p == 2.0:
-            return closed_form_radius("harmonic_p2", gamma=gamma, k=k)
-        return None
-    if kind == "subordination" and family_name == "power":
-        K = (1.0 + k) / (1.0 - k) if k < 1.0 else None
-        return None if K is None else closed_form_radius("subordination", K=K)
-    return None
 
 
 def _cmd_verify(args) -> int:
@@ -277,15 +209,14 @@ def _cmd_sharpness(args) -> int:
     if args.functional == "refined":
         lam = lambda_one if args.lam == "one" else lambda_zero
         problem = analytic_problem(family, args.p, args.gamma, lam)
-        radius = analytic_radius(family, args.p, args.gamma).value
     elif args.functional == "harmonic":
         problem = harmonic_problem(family, args.p, args.gamma, args.k)
-        radius = harmonic_radius(family, args.p, args.gamma, args.k).value
     else:
         problem = subordination_problem(family, args.k)
-        radius = subordination_radius(family, args.k).value
-    if args.radius is not None:
-        radius = args.radius
+    radius = args.radius
+    if radius is None:
+        kind = "analytic" if args.functional == "refined" else args.functional
+        radius = _solve_kind(kind, family, args.p, args.gamma, args.k).value
     grid = [float(x) for x in args.a_grid.split(",")] if args.a_grid else list(DEFAULT_A_GRID)
     witness = sharpness_probe(radius, problem, eps=args.eps, a_grid=grid)
     row = {
@@ -312,9 +243,11 @@ def _cmd_boundary(args) -> int:
 def _cmd_convolve(args) -> int:
     coeffs = [float(x) for x in args.coeffs.split(",")]
     user = CoefficientStream.from_sequence([abs(c) for c in coeffs])
-    gauss = CoefficientStream(
-        lambda n: abs(pochhammer(args.a, n) * pochhammer(args.b, n) / (pochhammer(args.c, n) * pochhammer(1.0, n)))
-    )
+    params = HypergeomParams(args.a, args.b, args.c)
+    series = [1.0]
+    for n in range(args.n):
+        series.append(series[-1] * params.term_ratio(n))
+    gauss = CoefficientStream.from_sequence([abs(c) for c in series])
     product = hadamard(gauss, user)
     rows = [
         {
@@ -351,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--abc", default=None, help="hypergeom parameters A,B,C")
 
     sp = sub.add_parser("radius", help="compute one radius (closed form and/or bisection)")
-    sp.add_argument("--case", choices=_CASES, default=None, help="catalog case (runs both routes)")
+    sp.add_argument("--case", choices=tuple(_CATALOG), default=None, help="catalog case (runs both routes)")
     sp.add_argument("--kind", choices=("analytic", "harmonic", "subordination"), default="analytic")
     family_flags(sp)
     sp.add_argument("--p", type=float, default=1.0)

@@ -3,7 +3,8 @@
 Validation failures (bad arguments, bad parameter combinations) derive from
 ValueError; numerical failures (divergence, exhausted term budgets, missing
 roots) derive from ArithmeticError.  Everything derives from BohrError so
-callers can catch library errors in one clause.
+callers can catch library errors in one clause.  The range checks of the
+parameters every layer shares (p, gamma, k) live here too, once.
 """
 
 
@@ -50,3 +51,21 @@ class HypothesisError(BohrError, ArithmeticError):
     or when hypergeometric coefficients mix signs so the tail sum no longer
     equals |F - 1|.
     """
+
+
+def check_p(p: float) -> None:
+    """Exponent p of the weighted sum: (0, 2]."""
+    if not 0.0 < p <= 2.0:
+        raise ParameterError(f"exponent p must lie in (0, 2], got {p}")
+
+
+def check_gamma(gamma: float) -> None:
+    """Domain parameter gamma of Omega(gamma): [0, 1)."""
+    if not 0.0 <= gamma < 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1), got {gamma}")
+
+
+def check_k(k: float) -> None:
+    """Dilatation bound k of a harmonic map: [0, 1]."""
+    if not 0.0 <= k <= 1.0:
+        raise ParameterError(f"dilatation bound k must lie in [0, 1], got {k}")

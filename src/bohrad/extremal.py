@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_gamma, check_k
 from .series import CoefficientStream, HarmonicMap
 
 
@@ -36,8 +36,7 @@ class DomainParams:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ParameterError(f"gamma must lie in [0, 1), got {self.gamma}")
+        check_gamma(self.gamma)
 
     @property
     def center(self) -> float:
@@ -63,10 +62,8 @@ class ExtremalParams:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ParameterError(f"extremal parameter a must lie in (0, 1), got {self.a}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ParameterError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not 0.0 <= self.k <= 1.0:
-            raise ParameterError(f"dilatation bound k must lie in [0, 1], got {self.k}")
+        check_gamma(self.gamma)
+        check_k(self.k)
 
 
 def mobius_extremal(params: ExtremalParams, order: int | None = None) -> CoefficientStream:
@@ -110,8 +107,7 @@ class SubordinationExtremal:
 
 
 def subordination_extremal(k: float, order: int | None = None) -> SubordinationExtremal:
-    if not 0.0 <= k <= 1.0:
-        raise ParameterError(f"dilatation bound k must lie in [0, 1], got {k}")
+    check_k(k)
     h = CoefficientStream(lambda n: 1.0, order_hint=order)
     g = CoefficientStream(lambda n: 0.0 if n == 0 else k, order_hint=order)
     return SubordinationExtremal(fmap=HarmonicMap(h=h, g=g, k=k))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ParameterError, TruncationError, UnsupportedInputError
+from .errors import DomainError, ParameterError, TruncationError, UnsupportedInputError, check_gamma, check_p
 from .series import CoefficientStream, HarmonicMap
 from .weights import WeightFamily, tail_value, weight_at
 
@@ -138,10 +138,8 @@ def refined_functional(
     tol: float = 1e-12,
 ) -> float:
     """Refined majorant functional M(f, r) for exponent p on Omega(gamma)."""
-    if not 0.0 < p <= 2.0:
-        raise ParameterError(f"exponent p must lie in (0, 2], got {p}")
-    if not 0.0 <= gamma < 1.0:
-        raise ParameterError(f"gamma must lie in [0, 1), got {gamma}")
+    check_p(p)
+    check_gamma(gamma)
     _check_r(r)
     a0 = f.at(0)
     value = weight_at(family, 0, r) * a0**p
@@ -160,8 +158,7 @@ def harmonic_functional(
     tol: float = 1e-12,
 ) -> float:
     """|a_0|^p phi_0(r) + sum_{n>=1} (|a_n| + |b_n|) phi_n(r)."""
-    if not 0.0 < p <= 2.0:
-        raise ParameterError(f"exponent p must lie in (0, 2], got {p}")
+    check_p(p)
     _check_r(r)
     value = weight_at(family, 0, r) * fmap.h.at(0) ** p
     value += _weighted_tail(lambda n: fmap.h.at(n) + fmap.g.at(n), family, r, tol)

@@ -18,10 +18,11 @@ subordination case).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import HypothesisError, NoRootError, ParameterError
+from .errors import BohrError, HypothesisError, NoRootError, ParameterError, check_gamma, check_k, check_p
 from .extremal import ExtremalParams, harmonic_extremal, mobius_extremal, subordination_extremal
 from .functionals import (
     LambdaWeight,
@@ -30,7 +31,7 @@ from .functionals import (
     q_functional,
     refined_functional,
 )
-from .weights import WeightFamily, tail_value, weight_at
+from .weights import WeightFamily, weight_at
 
 SCAN_STEP = 1e-3
 _R_LOW = 1e-9
@@ -76,19 +77,44 @@ class BohrProblem:
     name: str = "bohr-problem"
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma < 1.0:
-        raise ParameterError(f"gamma must lie in [0, 1), got {gamma}")
+def _bracket(
+    past: Callable[[float], bool], width: float, at_origin: BohrError
+) -> tuple[float, float | None, int]:
+    """Bracket and bisect the first r in (0, 1) at which past(r) holds.
 
-
-def _check_p(p: float) -> None:
-    if not 0.0 < p <= 2.0:
-        raise ParameterError(f"exponent p must lie in (0, 2], got {p}")
-
-
-def _check_k(k: float) -> None:
-    if not 0.0 <= k <= 1.0:
-        raise ParameterError(f"dilatation bound k must lie in [0, 1], got {k}")
+    Scans up from _R_LOW in SCAN_STEP steps; when past(_R_LOW) already holds,
+    halves the floor instead until past fails, and raises at_origin once past
+    holds down to the smallest normal float.  Then halves the bracket
+    (lo, hi), past(lo) false and past(hi) true, until hi - lo <= width or
+    _MAX_BISECT halvings.  Returns (lo, hi, halvings); hi is None, and lo the
+    last point scanned, when past never holds up to _R_HIGH.
+    """
+    lo, hi = _R_LOW, None
+    if past(lo):
+        while True:
+            if lo <= sys.float_info.min:
+                raise at_origin
+            hi, lo = lo, max(0.5 * lo, sys.float_info.min)
+            if not past(lo):
+                break
+    else:
+        for i in range(1, math.ceil(1.0 / SCAN_STEP) + 1):
+            r = min(i * SCAN_STEP, _R_HIGH)
+            if past(r):
+                hi = r
+                break
+            lo = r
+        else:
+            return lo, None, 0
+    halvings = 0
+    while hi - lo > width and halvings < _MAX_BISECT:
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+        halvings += 1
+    return lo, hi, halvings
 
 
 def solve_radius(
@@ -101,7 +127,8 @@ def solve_radius(
 
     Scans outward in steps of 1e-3 for the first sign change of the gap
     lhs_scale * Phi_1 - rhs_scale * phi_0 (negative below the radius), then
-    bisects the bracket down to tol.
+    bisects the bracket down to tol.  A root below the scan's start 1e-9 is
+    found by walking the start toward 0.
     """
     if lhs_scale <= 0.0 or rhs_scale <= 0.0:
         raise ParameterError("both equation scales must be positive")
@@ -112,40 +139,15 @@ def solve_radius(
     rule = family._rule
 
     def gap(r: float) -> float:
-        phi1 = tail(1, r) if tail is not None else tail_value(family, 1, r, _GAP_TOL)
-        return lhs_scale * phi1 - rhs_scale * rule(0, r)
+        return lhs_scale * tail(1, r, _GAP_TOL) - rhs_scale * rule(0, r)
 
-    lo = _R_LOW
-    glo = gap(lo)
-    if glo > 0.0:
-        raise HypothesisError(
-            "weight-series condition already fails as r -> 0+; no positive radius exists"
-        )
-    hi = None
-    steps = int(1.0 / SCAN_STEP)
-    for i in range(1, steps + 1):
-        r = min(i * SCAN_STEP, _R_HIGH)
-        g = gap(r)
-        if g >= 0.0:
-            hi, ghi = r, g
-            break
-        lo, glo = r, g
-        if r >= _R_HIGH:
-            break
+    lo, hi, iterations = _bracket(
+        lambda r: gap(r) >= 0.0,
+        2.0 * tol,
+        HypothesisError("weight-series condition already fails as r -> 0+; no positive radius exists"),
+    )
     if hi is None:
-        if gap(_R_HIGH) >= 0.0:
-            hi = _R_HIGH
-        else:
-            raise NoRootError("gap never changes sign on (0, 1); the series stays subcritical")
-
-    iterations = 0
-    while hi - lo > 2.0 * tol and iterations < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+        raise NoRootError("gap never changes sign on (0, 1); the series stays subcritical")
     value = 0.5 * (lo + hi)
     return RadiusResult(
         value=value,
@@ -162,8 +164,8 @@ def analytic_radius(family: WeightFamily, p: float, gamma: float, tol: float = 1
     The root does not involve Lambda: the refinement term only tightens the
     inequality below the radius and vanishes along the extremal family limit.
     """
-    _check_p(p)
-    _check_gamma(gamma)
+    check_p(p)
+    check_gamma(gamma)
     return solve_radius(family, 2.0 / p, 1.0 + gamma, tol)
 
 
@@ -171,15 +173,15 @@ def harmonic_radius(
     family: WeightFamily, p: float, gamma: float, k: float, tol: float = 1e-12
 ) -> RadiusResult:
     """Root of 2 (1+k) Phi_1(r) = p (1+gamma) phi_0(r)."""
-    _check_p(p)
-    _check_gamma(gamma)
-    _check_k(k)
+    check_p(p)
+    check_gamma(gamma)
+    check_k(k)
     return solve_radius(family, 2.0 * (1.0 + k), p * (1.0 + gamma), tol)
 
 
 def subordination_radius(family: WeightFamily, k: float, tol: float = 1e-12) -> RadiusResult:
     """Root of 2 (1+k) Phi_1(r) = phi_0(r)."""
-    _check_k(k)
+    check_k(k)
     return solve_radius(family, 2.0 * (1.0 + k), 1.0, tol)
 
 
@@ -196,88 +198,112 @@ def hypergeom_radius(
     return analytic_radius(family, p, gamma, tol)
 
 
+def _solve_kind(
+    kind: str, family: WeightFamily, p: float, gamma: float, k: float, tol: float = 1e-12
+) -> RadiusResult:
+    """The radius of one kind of inequality; each kind reads the parameters it needs."""
+    if kind == "analytic":
+        return analytic_radius(family, p, gamma, tol)
+    if kind == "harmonic":
+        return harmonic_radius(family, p, gamma, k, tol)
+    if kind == "subordination":
+        return subordination_radius(family, k, tol)
+    raise ParameterError(f"unknown radius kind {kind!r}")
+
+
 # --- closed-form catalog ----------------------------------------------
 
 
-def _cf_classical(gamma: float) -> float:
-    _check_gamma(gamma)
-    return (1.0 + gamma) / (3.0 + gamma)
-
-
-def _cf_power(p: float, gamma: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    P = p * (1.0 + gamma)
-    return P / (2.0 + P)
-
-
-def _cf_even(p: float, gamma: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    P = p * (1.0 + gamma)
-    return math.sqrt(P / (2.0 + P))
-
-
-def _cf_odd(p: float, gamma: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    P = p * (1.0 + gamma)
-    return (math.sqrt(1.0 + P * P) - 1.0) / P
-
-
-def _cf_linear_shift(p: float, gamma: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    P = p * (1.0 + gamma)
-    return 1.0 - math.sqrt(2.0 / (P + 2.0))
-
-
-def _cf_weighted_n(p: float, gamma: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    P = p * (1.0 + gamma)
-    return (P + 1.0 - math.sqrt(2.0 * P + 1.0)) / P
-
-
-def _cf_harmonic_p1(gamma: float, k: float) -> float:
-    _check_gamma(gamma)
-    _check_k(k)
-    return (1.0 + gamma) / (3.0 + 2.0 * k + gamma)
-
-
-def _cf_harmonic_p2(gamma: float, k: float) -> float:
-    _check_gamma(gamma)
-    _check_k(k)
-    return (1.0 + gamma) / (2.0 + k + gamma)
-
-
-def _cf_binomial(p: float, gamma: float, y: float) -> float:
-    _check_p(p)
-    _check_gamma(gamma)
-    if y <= 0.0:
-        raise ParameterError(f"binomial exponent y must be positive, got {y}")
-    P = p * (1.0 + gamma)
-    return 1.0 - (2.0 / (2.0 + P)) ** (1.0 / y)
-
-
-def _cf_subordination(K: float) -> float:
+def _check_big_k(K: float) -> None:
     if K < 1.0:
         raise ParameterError(f"quasiconformality constant K must be >= 1, got {K}")
-    return (K + 1.0) / (5.0 * K + 1.0)
 
 
-_CATALOG: dict[str, Callable[..., float]] = {
-    "classical": _cf_classical,
-    "power": _cf_power,
-    "even": _cf_even,
-    "odd": _cf_odd,
-    "linear_shift": _cf_linear_shift,
-    "weighted_n": _cf_weighted_n,
-    "harmonic_p1": _cf_harmonic_p1,
-    "harmonic_p2": _cf_harmonic_p2,
-    "binomial": _cf_binomial,
-    "subordination": _cf_subordination,
+def _check_y(y: float) -> None:
+    if y <= 0.0:
+        raise ParameterError(f"binomial exponent y must be positive, got {y}")
+
+
+# one validator per catalog parameter name
+_VALIDATORS = {"p": check_p, "gamma": check_gamma, "k": check_k, "K": _check_big_k, "y": _check_y}
+
+
+class _Case(NamedTuple):
+    """One closed-form radius and the equation it solves.
+
+    family is (WeightFamily constructor, arguments); a string argument names
+    the case parameter it takes.  p is the exponent the case fixes, or None
+    when p is a parameter.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    formula: Callable[..., float]
+    family: tuple[str, dict]
+    kind: str
+    p: float | None = None
+
+    def solve(self, params: dict, tol: float) -> RadiusResult:
+        constructor, args = self.family
+        family = getattr(WeightFamily, constructor)(
+            **{key: params[v] if isinstance(v, str) else v for key, v in args.items()}
+        )
+        p = self.p if self.p is not None else params.get("p")
+        k = (params["K"] - 1.0) / (params["K"] + 1.0) if "K" in params else params.get("k", 0.0)
+        return _solve_kind(self.kind, family, p, params.get("gamma", 0.0), k, tol)
+
+
+def _of_P(formula: Callable[[float], float]) -> Callable[[float, float], float]:
+    """A formula in P = p (1+gamma), as a function of p and gamma."""
+    return lambda p, gamma: formula(p * (1.0 + gamma))
+
+
+_PG = ("p", "gamma")
+_GK = ("gamma", "k")
+_POWER = ("power", {})
+_CATALOG = {
+    case.name: case
+    for case in (
+        _Case("classical", ("gamma",), lambda gamma: (1.0 + gamma) / (3.0 + gamma), _POWER, "analytic", 1.0),
+        _Case("power", _PG, _of_P(lambda P: P / (2.0 + P)), _POWER, "analytic"),
+        _Case("even", _PG, _of_P(lambda P: math.sqrt(P / (2.0 + P))), ("even", {}), "analytic"),
+        _Case(
+            "odd", _PG, _of_P(lambda P: (math.sqrt(1.0 + P * P) - 1.0) / P),
+            ("odd_with_unit_head", {}), "analytic",
+        ),
+        _Case(
+            "linear_shift", _PG, _of_P(lambda P: 1.0 - math.sqrt(2.0 / (P + 2.0))),
+            ("shifted_linear", {"start": 1}), "analytic",
+        ),
+        _Case(
+            "weighted_n", _PG, _of_P(lambda P: (P + 1.0 - math.sqrt(2.0 * P + 1.0)) / P),
+            ("power_alpha", {"alpha": 1.0, "start": 1}), "analytic",
+        ),
+        _Case("harmonic_p1", _GK, lambda gamma, k: (1.0 + gamma) / (3.0 + 2.0 * k + gamma), _POWER, "harmonic", 1.0),
+        _Case("harmonic_p2", _GK, lambda gamma, k: (1.0 + gamma) / (2.0 + k + gamma), _POWER, "harmonic", 2.0),
+        _Case(
+            "binomial", ("p", "gamma", "y"),
+            lambda p, gamma, y: 1.0 - (2.0 / (2.0 + p * (1.0 + gamma))) ** (1.0 / y),
+            ("hypergeometric", {"a": "y", "b": 1.0, "c": 1.0}), "analytic",
+        ),
+        _Case("subordination", ("K",), lambda K: (K + 1.0) / (5.0 * K + 1.0), _POWER, "subordination"),
+    )
 }
+
+
+def _catalog_case(case: str, params: dict) -> _Case:
+    """The catalog entry named case, after validating the parameters it takes."""
+    try:
+        entry = _CATALOG[case]
+    except KeyError:
+        raise ParameterError(f"unknown catalog case {case!r}; choose from {sorted(_CATALOG)}") from None
+    if set(params) != set(entry.params):
+        raise ParameterError(
+            f"bad parameters for catalog case {case!r}: takes {list(entry.params)}, got {sorted(params)}"
+        )
+    for name in entry.params:
+        _VALIDATORS[name](params[name])
+    return entry
 
 
 def closed_form_radius(case: str, **params: float) -> float:
@@ -294,45 +320,33 @@ def closed_form_radius(case: str, **params: float) -> float:
     binomial      weights of (1-x)^{-y}:          1 - (2/(2+P))^{1/y}
     subordination power weights, K-q.c.:          (K+1)/(5K+1)
     """
-    try:
-        formula = _CATALOG[case]
-    except KeyError:
-        raise ParameterError(
-            f"unknown catalog case {case!r}; choose from {sorted(_CATALOG)}"
-        ) from None
-    try:
-        return formula(**params)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters for catalog case {case!r}: {exc}") from None
+    return _catalog_case(case, params).formula(**params)
 
 
 def catalog_solver(case: str, tol: float = 1e-12, **params: float) -> RadiusResult:
     """Bisection counterpart of each catalog entry (same equation, no formula)."""
-    if case == "classical":
-        return analytic_radius(WeightFamily.power(), 1.0, params["gamma"], tol)
-    if case == "power":
-        return analytic_radius(WeightFamily.power(), params["p"], params["gamma"], tol)
-    if case == "even":
-        return analytic_radius(WeightFamily.even(), params["p"], params["gamma"], tol)
-    if case == "odd":
-        return analytic_radius(WeightFamily.odd_with_unit_head(), params["p"], params["gamma"], tol)
-    if case == "linear_shift":
-        return analytic_radius(WeightFamily.shifted_linear(1), params["p"], params["gamma"], tol)
-    if case == "weighted_n":
-        return analytic_radius(WeightFamily.power_alpha(1.0, 1), params["p"], params["gamma"], tol)
-    if case == "harmonic_p1":
-        return harmonic_radius(WeightFamily.power(), 1.0, params["gamma"], params["k"], tol)
-    if case == "harmonic_p2":
-        return harmonic_radius(WeightFamily.power(), 2.0, params["gamma"], params["k"], tol)
-    if case == "binomial":
-        return hypergeom_radius(params["y"], 1.0, 1.0, params["p"], params["gamma"], tol)
-    if case == "subordination":
-        K = params["K"]
-        if K < 1.0:
-            raise ParameterError(f"quasiconformality constant K must be >= 1, got {K}")
-        k = (K - 1.0) / (K + 1.0)
-        return subordination_radius(WeightFamily.power(), k, tol)
-    raise ParameterError(f"unknown catalog case {case!r}; choose from {sorted(_CATALOG)}")
+    return _catalog_case(case, params).solve(params, tol)
+
+
+def _closed_form_for(family: WeightFamily, kind: str, p: float, gamma: float, k: float) -> float | None:
+    """The catalog formula for a (family, kind, p, gamma, k) radius, or None.
+
+    A case with p free wins over its fixed-p specialisation (classical is
+    power at p = 1).  K is read off k by K = (1+k)/(1-k), so k = 1 has none.
+    """
+    swept = {"p": p, "gamma": gamma, "k": k, "K": (1.0 + k) / (1.0 - k) if k < 1.0 else None}
+    for case in sorted(_CATALOG.values(), key=lambda c: c.p is not None):
+        constructor, args = case.family
+        if case.kind != kind or case.p not in (None, p) or family.name != constructor:
+            continue
+        if any(family.params[key] != v for key, v in args.items() if not isinstance(v, str)):
+            continue
+        values = {**swept, **{v: family.params[key] for key, v in args.items() if isinstance(v, str)}}
+        params = {name: values[name] for name in case.params}
+        if None in params.values():
+            return None
+        return closed_form_radius(case.name, **params)
+    return None
 
 
 # --- problems, sharpness, empirical radius ----------------------------
@@ -345,8 +359,8 @@ def analytic_problem(
     lam: LambdaWeight = lambda_zero,
 ) -> BohrProblem:
     """Refined functional on the Moebius extremal family vs phi_0(r)."""
-    _check_p(p)
-    _check_gamma(gamma)
+    check_p(p)
+    check_gamma(gamma)
 
     def evaluate(a: float, r: float) -> float:
         stream = mobius_extremal(ExtremalParams(a=a, gamma=gamma))
@@ -361,9 +375,9 @@ def analytic_problem(
 
 def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> BohrProblem:
     """Harmonic functional on the k-dilated extremal family vs phi_0(r)."""
-    _check_p(p)
-    _check_gamma(gamma)
-    _check_k(k)
+    check_p(p)
+    check_gamma(gamma)
+    check_k(k)
 
     def evaluate(a: float, r: float) -> float:
         fmap = harmonic_extremal(ExtremalParams(a=a, gamma=gamma, k=k))
@@ -378,7 +392,7 @@ def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> 
 
 def subordination_problem(family: WeightFamily, k: float) -> BohrProblem:
     """Tail functional on the fixed subordination extremal vs d * phi_0(r)."""
-    _check_k(k)
+    check_k(k)
     witness = subordination_extremal(k)
 
     def evaluate(a: float, r: float) -> float:
@@ -435,25 +449,5 @@ def empirical_bohr_radius(
     def excess(r: float) -> float:
         return max(problem.evaluate(a, r) - problem.threshold(r) for a in a_grid)
 
-    lo = _R_LOW
-    if excess(lo) > 0.0:
-        raise NoRootError("inequality already fails as r -> 0+")
-    hi = None
-    steps = int(1.0 / SCAN_STEP)
-    for i in range(1, steps + 1):
-        r = min(i * SCAN_STEP, _R_HIGH)
-        if excess(r) > 0.0:
-            hi = r
-            break
-        lo = r
-        if r >= _R_HIGH:
-            break
-    if hi is None:
-        return _R_HIGH
-    while hi - lo > r_tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi, _ = _bracket(lambda r: excess(r) > 0.0, r_tol, NoRootError("inequality already fails as r -> 0+"))
+    return _R_HIGH if hi is None else 0.5 * (lo + hi)

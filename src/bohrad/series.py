@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainError, ParameterError, TruncationError
+from .errors import DomainError, ParameterError, TruncationError, check_k
 
 _MAX_TERMS = 1_000_000
 
@@ -68,8 +68,7 @@ class HarmonicMap:
     k: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise ParameterError(f"dilatation bound k must lie in [0, 1], got {self.k}")
+        check_k(self.k)
 
 
 def majorant(f: CoefficientStream, r: float, tol: float = 1e-12, max_terms: int = _MAX_TERMS) -> float:

@@ -12,12 +12,15 @@ phi_n(r) = r^n; the other built-ins thin or reweight the powers:
     hypergeometric     phi_n = |gamma_n| r^n with gamma_n the Gauss series
                        coefficients (a)_n (b)_n / ((c)_n n!)
 
-Tail sums Phi_N(r) = sum_{n >= N} phi_n(r) use closed forms wherever one
-exists; only user-supplied custom rules fall back to certified summation.
+Each family carries one tail strategy (N, r, tol) -> Phi_N(r) =
+sum_{n >= N} phi_n(r): the closed form wherever one exists, the Gauss series
+for hypergeometric weights, and certified summation of the rule for custom
+rules without a closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +35,6 @@ from .errors import (
 from .specfun import HypergeomParams, lerch_phi
 
 _MAX_TERMS = 1_000_000
-_SIGN_CHECK_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,10 @@ class WeightFamily:
         self.r_max = float(r_max)
         self.params = dict(params or {})
         self._rule = rule
-        self._tail = tail  # closed form (N, r) -> Phi_N(r), or None
+        self._closed = tail is not None
+        # the tail strategy (N, r, tol) -> Phi_N(r): the closed form when there
+        # is one, certified summation of the rule otherwise
+        self._tail = (lambda N, r, tol: tail(N, r)) if tail is not None else self._series_tail
 
     def __repr__(self):  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -163,8 +168,8 @@ class WeightFamily:
         """phi_n(r) = |gamma_n| r^n with gamma_n = (a)_n (b)_n / ((c)_n n!).
 
         The tail from N = 1 equals |2F1(a,b;c;r) - 1| provided the gamma_n
-        (n >= 1) share one sign; the constructor checks the first 64
-        coefficients and raises HypothesisError on a mix.
+        (n >= 1) share one sign; the constructor checks this exactly and
+        raises HypothesisError on a mix.
         """
         params = HypergeomParams(a, b, c)
         coeffs = [1.0]  # signed gamma_n, grown on demand
@@ -175,32 +180,51 @@ class WeightFamily:
                 coeffs.append(coeffs[-1] * params.term_ratio(m))
             return coeffs[n]
 
-        sign = 0
-        for n in range(1, _SIGN_CHECK_TERMS + 1):
-            g = coeff(n)
-            if g == 0.0:
-                continue
-            s = 1 if g > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                raise HypothesisError(
-                    f"hypergeometric coefficients mix signs (a={a}, b={b}, c={c}); "
-                    "the tail sum would not equal |F - 1|"
-                )
+        # gamma_{n+1}/gamma_n changes sign only where n passes -a, -b or -c, so
+        # its sign at n = 1 (read off gamma_2, which the tail needs anyway) and
+        # just past each of those points decides the sign of every gamma_n
+        g1 = coeff(1)
+        sign = (g1 > 0.0) - (g1 < 0.0)
+        if sign:
+            turns = sorted({math.floor(-x) + 1 for x in (a, b, c) if -x >= 1.0})
+            for ratio in itertools.chain([coeff(2) * sign], (params.term_ratio(n) for n in turns)):
+                if ratio == 0.0:
+                    break
+                if ratio < 0.0:
+                    raise HypothesisError(
+                        f"hypergeometric coefficients mix signs (a={a}, b={b}, c={c}); "
+                        "the tail sum would not equal |F - 1|"
+                    )
 
         def rule(n, r):
             return abs(coeff(n)) * r**n
 
-        fam = cls(
-            "hypergeometric",
-            rule,
-            tail=None,
-            params={"a": a, "b": b, "c": c},
-        )
+        def tail(N, r, tol):
+            if r == 0.0:
+                return abs(coeff(N)) if N == 0 else 0.0
+            total = 0.0
+            rpow = r**N
+            small = 0
+            n = N
+            while n - N < _MAX_TERMS:
+                t = abs(coeff(n)) * rpow
+                total += t
+                # coefficient ratios tend to 1, so terms eventually decay like r^n
+                q = abs(params.term_ratio(n)) * r
+                q = min(max(q, r), 1.0 - 1e-12)
+                if t * q / (1.0 - q) < 0.5 * tol:
+                    small += 1
+                    if small >= 2:
+                        return total
+                else:
+                    small = 0
+                rpow *= r
+                n += 1
+            raise TruncationError("hypergeometric tail did not converge", partial=total)
+
+        fam = cls("hypergeometric", rule, params={"a": a, "b": b, "c": c})
+        fam._tail = tail
         fam.coefficient_sign = sign
-        fam._hyp = params
-        fam._hyp_coeff = coeff
         return fam
 
     @classmethod
@@ -216,31 +240,15 @@ class WeightFamily:
 
     # --- evaluation ---------------------------------------------------
 
-    def _hypergeometric_tail(self, N, r, tol):
-        if r == 0.0:
-            return abs(self._hyp_coeff(N)) if N == 0 else 0.0
-        total = 0.0
-        rpow = r**N
-        small = 0
-        n = N
-        while n - N < _MAX_TERMS:
-            t = abs(self._hyp_coeff(n)) * rpow
-            total += t
-            # coefficient ratios tend to 1, so terms eventually decay like r^n
-            q = abs(self._hyp.term_ratio(n)) * r
-            q = min(max(q, r), 1.0 - 1e-12)
-            if t * q / (1.0 - q) < 0.5 * tol:
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-            rpow *= r
-            n += 1
-        raise TruncationError("hypergeometric tail did not converge", partial=total)
+    def _check_converges(self, r):
+        if r >= self.r_max:
+            raise DivergenceError(
+                f"r={r} is at or beyond the declared convergence radius {self.r_max}"
+            )
 
     def _series_tail(self, N, r, tol):
         # Fallback for custom rules: geometric certificate from observed ratios.
+        self._check_converges(r)
         q_floor = r / self.r_max if self.r_max < 1.0 else r
         total = 0.0
         prev = 0.0
@@ -284,37 +292,13 @@ def tail_value(family: WeightFamily, N: int, r: float, tol: float = 1e-12) -> fl
         raise ParameterError(f"tail start must be a nonnegative integer, got {N!r}")
     if not 0.0 <= r < 1.0:
         raise DomainError(f"tail sums are defined for r in [0, 1), got r={r}")
-    if r >= family.r_max:
-        raise DivergenceError(
-            f"r={r} is at or beyond the declared convergence radius {family.r_max}"
-        )
-    N = int(N)
-    if family._tail is not None:
-        return float(family._tail(N, r))
-    if family.name == "hypergeometric":
-        return float(family._hypergeometric_tail(N, r, tol))
-    return float(family._series_tail(N, r, tol))
+    family._check_converges(r)
+    return float(family._tail(int(N), r, tol))
 
 
 def tail_sum(family: WeightFamily, N: int, r: float, tol: float = 1e-12) -> TailSum:
     """Tail sum Phi_N(r) = sum_{n>=N} phi_n(r) with truncation metadata."""
     value = tail_value(family, N, r, tol)
-    if family._tail is not None:
+    if family._closed:
         return TailSum(value=value, truncation_order=0, bound_on_remainder=0.0)
     return TailSum(value=value, truncation_order=int(N), bound_on_remainder=tol)
-
-
-def condition_gap(family: WeightFamily, p: float, gamma: float, scale: float, r: float) -> float:
-    """Gap scale * Phi_1(r) - (1+gamma) * phi_0(r) of the radius equation.
-
-    Negative means the series condition still holds at r; the generalized
-    radius is the smallest positive zero.  scale folds the exponent and any
-    quasiconformal factor (2/p analytic, 2(1+k)/p harmonic).
-    """
-    if not 0.0 < p <= 2.0:
-        raise ParameterError(f"exponent p must lie in (0, 2], got {p}")
-    if not 0.0 <= gamma < 1.0:
-        raise ParameterError(f"domain parameter gamma must lie in [0, 1), got {gamma}")
-    if scale <= 0.0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    return scale * tail_value(family, 1, r, 1e-14) - (1.0 + gamma) * weight_at(family, 0, r)

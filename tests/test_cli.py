@@ -138,6 +138,29 @@ class TestConvolve:
         assert [float(r["series_coefficient"]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
         assert [float(r["product"]) for r in rows] == [1.0, 2.0, 3.0, 0.0]
 
+    def test_large_index_does_not_overflow(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        code, rows = run_csv(
+            capsys, ["convolve", "--a", "0.5", "--b", "1", "--c", "1", "--coeffs", "1", "--n", "99"]
+        )
+        assert code == 0
+        assert len(rows) == 100
+        want = mpmath.rf(0.5, 99) / mpmath.factorial(99)
+        assert rows[99]["series_coefficient"] == f"{float(want):.12g}"
+        assert float(rows[99]["series_coefficient"]) == pytest.approx(float(want), rel=1e-11)
+
+    def test_nonpositive_integer_c_is_rejected(self, capsys):
+        code = main(["convolve", "--a", "1", "--b", "1", "--c", "0", "--coeffs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_terminating_series_before_zero_of_c(self, capsys):
+        code, rows = run_csv(
+            capsys, ["convolve", "--a=-1", "--b", "1", "--c=-2", "--coeffs", "1,1,1,1", "--n", "3"]
+        )
+        assert code == 0
+        assert [float(r["series_coefficient"]) for r in rows] == [1.0, 0.5, 0.0, 0.0]
+
 
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import pytest
@@ -17,7 +19,6 @@ from bohrad import (
     analytic_radius,
     catalog_solver,
     closed_form_radius,
-    condition_gap,
     empirical_bohr_radius,
     harmonic_problem,
     harmonic_radius,
@@ -27,7 +28,10 @@ from bohrad import (
     solve_radius,
     subordination_problem,
     subordination_radius,
+    tail_value,
+    weight_at,
 )
+from bohrad.cli import main
 
 POWER = WeightFamily.power()
 
@@ -55,7 +59,7 @@ class TestSolveRadius:
         step = 1e-3
         r = step
         while r < result.value - step:
-            assert condition_gap(POWER, 1.0, 0.0, 2.0, r) < 0.0
+            assert 2.0 * tail_value(POWER, 1, r) - weight_at(POWER, 0, r) < 0.0
             r += 37 * step  # sparse sample of the scan grid
 
     def test_no_root_when_weights_too_small(self):
@@ -70,6 +74,36 @@ class TestSolveRadius:
         fam = WeightFamily.custom(lambda n, r: 1.0 if n == 1 else r**n, r_max=1.0)
         with pytest.raises(HypothesisError):
             solve_radius(fam, 2.0, 1.0)
+
+    def test_power_root_below_scan_floor(self):
+        # P/(2+P) with P = 1e-9 lies below the scan's starting point 1e-9
+        result = analytic_radius(POWER, 1e-9, 0.0)
+        assert result.value == pytest.approx(1e-9 / (2.0 + 1e-9), abs=1e-12)
+        lo, hi = result.bracket
+        assert lo < result.value < hi
+
+    def test_weighted_n_root_below_scan_floor(self):
+        p = 1e-9
+        result = analytic_radius(WeightFamily.power_alpha(1.0, 1), p, 0.0)
+
+        def gap(r):  # (2/p) sum n r^n - 1
+            return (2.0 / p) * r / (1.0 - r) ** 2 - 1.0
+
+        assert gap(result.value - 2e-12) < 0.0 < gap(result.value + 2e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--family", "power", "--p", "1e-9"],
+            ["radius", "--family", "power-alpha", "--p", "1e-9"],
+            ["radius", "--case", "power", "--p", "2e-9"],
+        ],
+    )
+    def test_cli_roots_below_scan_floor(self, argv, capsys):
+        # for tiny p each of these radii is p/2 to within p^2
+        assert main(argv) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(row["value_bisect"]) == pytest.approx(float(argv[-1]) / 2.0, abs=1e-12)
 
     def test_scale_validation(self):
         with pytest.raises(ParameterError):
@@ -123,6 +157,22 @@ class TestNamedRadii:
             harmonic_radius(POWER, 1.0, 0.0, 1.5)
         with pytest.raises(ParameterError):
             subordination_radius(POWER, -0.1)
+
+
+class TestCatalogParameters:
+    @pytest.mark.parametrize(
+        "case,params",
+        [
+            ("power", {"gamma": 0.1}),
+            ("classical", {"gamma": 0.5, "p": 2.0}),
+            ("binomial", {"p": 1.0, "gamma": 0.0, "y": -0.5}),
+        ],
+    )
+    def test_both_routes_reject(self, case, params):
+        with pytest.raises(ParameterError):
+            closed_form_radius(case, **params)
+        with pytest.raises(ParameterError):
+            catalog_solver(case, **params)
 
 
 class TestHypergeomRadius:
@@ -233,6 +283,21 @@ class TestEmpiricalRadius:
         problem = harmonic_problem(POWER, 1.0, 0.0, 1.0)
         got = empirical_bohr_radius(problem)
         assert abs(got - 0.2) < 5e-4
+
+    def test_bisection_below_one_ulp_terminates(self):
+        # the bracket around 0.5 stops shrinking at one ulp, far above r_tol;
+        # the evaluation budget turns a runaway bisection into a failure
+        calls = [0]
+
+        def evaluate(a, r):
+            calls[0] += 1
+            if calls[0] > 10_000:
+                raise RuntimeError("bisection did not terminate")
+            return r
+
+        problem = BohrProblem(evaluate=evaluate, threshold=lambda r: 0.5)
+        got = empirical_bohr_radius(problem, r_tol=1e-20)
+        assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_never_violated_returns_near_one(self):
         problem = BohrProblem(evaluate=lambda a, r: 0.0, threshold=lambda r: 1.0)

@@ -1,4 +1,4 @@
-"""Weight families, tail sums, and the radius-defining gap function."""
+"""Weight families and tail sums."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from bohrad import (
     HypothesisError,
     ParameterError,
     WeightFamily,
-    condition_gap,
     tail_sum,
     tail_value,
     weight_at,
@@ -75,6 +74,18 @@ class TestRules:
     def test_hypergeometric_rejects_sign_mixing(self):
         with pytest.raises(HypothesisError):
             WeightFamily.hypergeometric(-2.5, 1.0, 1.0)
+
+    def test_hypergeometric_sign_change_past_64_terms_rejected(self):
+        # gamma_n > 0 up to n = 71; the factor b + n turns negative at n = 71
+        with pytest.raises(HypothesisError):
+            WeightFamily.hypergeometric(-70.5, -80.5, 1.0)
+
+    def test_hypergeometric_terminating_series_accepted(self):
+        # (-1)_n stops the series before the zero of (c)_n = (-2)_n
+        fam = WeightFamily.hypergeometric(-1.0, 1.0, -2.0)
+        assert fam.coefficient_sign > 0
+        assert weight_at(fam, 1, 0.5) == pytest.approx(0.25, rel=1e-15)
+        assert weight_at(fam, 2, 0.5) == 0.0
 
     def test_shifted_start_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -159,23 +170,3 @@ class TestTails:
     def test_tail_telescopes_by_one_weight(self, family, N, r):
         lhs = tail_value(family, N, r) - tail_value(family, N + 1, r)
         assert lhs == pytest.approx(weight_at(family, N, r), rel=1e-9, abs=1e-12)
-
-
-class TestConditionGap:
-    def test_frozen_value(self):
-        # 2 * (0.1/0.9) - 1 = -7/9
-        assert condition_gap(POWER, 1.0, 0.0, 2.0, 0.1) == pytest.approx(-7.0 / 9.0, rel=1e-13)
-
-    def test_sign_change_at_classical_radius(self):
-        assert condition_gap(POWER, 1.0, 0.0, 2.0, 1.0 / 3.0 - 1e-6) < 0.0
-        assert condition_gap(POWER, 1.0, 0.0, 2.0, 1.0 / 3.0 + 1e-6) > 0.0
-
-    def test_validates_parameters(self):
-        with pytest.raises(ParameterError):
-            condition_gap(POWER, 0.0, 0.0, 2.0, 0.1)
-        with pytest.raises(ParameterError):
-            condition_gap(POWER, 2.5, 0.0, 2.0, 0.1)
-        with pytest.raises(ParameterError):
-            condition_gap(POWER, 1.0, 1.0, 2.0, 0.1)
-        with pytest.raises(ParameterError):
-            condition_gap(POWER, 1.0, 0.0, 0.0, 0.1)
