@@ -64,6 +64,22 @@ _SMALL_P_GRIDS = {
     "harmonic": ["--p", "1", "--gamma", "0:0.5:0.5", "--k", "0:1:0.5"],
     "subordination": ["--k", "0:1:0.25"],
 }
+# one of each weight route: power rules, the custom tails and the Gauss series
+_VERIFY_FAMILIES = (
+    ["--family", "power"],
+    ["--family", "even"],
+    ["--family", "odd"],
+    ["--family", "shifted-linear", "--start", "2"],
+    ["--family", "power-alpha", "--alpha", "2"],
+    ["--family", "hypergeom", "--abc", "1.5,1,1"],
+    ["--family", "hypergeom", "--abc", "0.5,1.5,2.5"],
+)
+_VERIFY_FUNCTIONALS = (
+    ["--functional", "refined", "--lambda", "one"],
+    ["--functional", "refined", "--lambda", "zero"],
+    ["--functional", "harmonic"],
+    ["--functional", "subordination"],
+)
 
 DEMOS = (
     "boundary_geometry.py",
@@ -106,6 +122,14 @@ def commands() -> list[list[str]]:
     out.append(["sharpness", "--family", "even", "--p", "2", "--format", "json"])
     out.append(["sharpness", "--radius", "0.31", "--eps", "0.01"])
     out.append(["sharpness", "--functional", "harmonic", "--k", "1", "--a-grid", "0.9,0.999", "--eps", "0.02"])
+    for family in _VERIFY_FAMILIES:
+        for functional in _VERIFY_FUNCTIONALS:
+            out.append(["verify", *family, *functional, "--r", "0.35"])
+    for family in _VERIFY_FAMILIES:
+        out.append(["sharpness", *family])
+    for family in (_VERIFY_FAMILIES[4], _VERIFY_FAMILIES[5]):
+        for functional in ("harmonic", "subordination"):
+            out.append(["sharpness", *family, "--functional", functional])
     out.append(["boundary", "--gamma", "0", "--count", "8"])
     out.append(["boundary", "--gamma", "0.5", "--count", "8", "--format", "json"])
     out.append(["convolve", "--a", "2", "--b", "1", "--c", "1", "--coeffs", "1,1,1", "--n", "8"])
@@ -116,6 +140,11 @@ def commands() -> list[list[str]]:
     out.append(["radius", "--case", "binomial", "--y", "-1"])
     out.append(["radius", "--kind", "analytic", "--family", "hypergeom", "--abc=-2.5,1,1"])
     out.append(["table", "--gamma", "0:0.9:0.1:7"])
+    out.append(["verify", "--a", "1", "--r", "0.3"])
+    out.append(["verify", "--family", "hypergeom", "--r", "0.3"])
+    out.append(["verify", "--r", "1"])
+    out.append(["verify", "--functional", "harmonic", "--k", "1.5", "--r", "0.3"])
+    out.append(["sharpness", "--family", "hypergeom", "--abc=-2.5,1,1"])
     return out
 
 
