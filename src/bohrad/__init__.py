@@ -38,6 +38,7 @@ from .functionals import (
     harmonic_functional,
     lambda_one,
     lambda_zero,
+    majorant,
     q_functional,
     refined_functional,
 )
@@ -59,7 +60,7 @@ from .radii import (
     subordination_problem,
     subordination_radius,
 )
-from .series import CoefficientStream, HarmonicMap, hadamard, majorant, taylor_mobius
+from .series import CoefficientStream, HarmonicMap, hadamard, taylor_mobius
 from .specfun import HypergeomParams, gauss_2f1, lerch_phi, pochhammer, polylog
 from .weights import TailSum, WeightFamily, tail_sum, tail_value, weight_at
 

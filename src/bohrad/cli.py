@@ -24,8 +24,8 @@ import json
 import sys
 
 from .errors import BohrError
-from .extremal import ExtremalParams, boundary_points, harmonic_extremal, mobius_extremal, subordination_extremal
-from .functionals import harmonic_functional, lambda_one, lambda_zero, q_functional, refined_functional
+from .extremal import boundary_points
+from .functionals import lambda_one, lambda_zero
 from .radii import (
     _CATALOG,
     DEFAULT_A_GRID,
@@ -40,7 +40,7 @@ from .radii import (
 )
 from .series import hadamard, CoefficientStream
 from .specfun import HypergeomParams
-from .weights import WeightFamily, weight_at
+from .weights import WeightFamily
 
 
 def _fmt(x) -> str:
@@ -90,24 +90,31 @@ def _emit(kind: str, rows: list[dict], columns: list[str], args) -> None:
         sys.stdout.write(text)
 
 
-def _family_from_args(args) -> WeightFamily:
-    name = args.family
-    if name == "power":
-        return WeightFamily.power()
-    if name == "even":
-        return WeightFamily.even()
-    if name == "odd":
-        return WeightFamily.odd_with_unit_head()
-    if name == "shifted-linear":
-        return WeightFamily.shifted_linear(args.start)
-    if name == "power-alpha":
-        return WeightFamily.power_alpha(args.alpha, args.start)
-    if name == "hypergeom":
-        if args.abc is None:
-            raise argparse.ArgumentTypeError("--family hypergeom requires --abc A,B,C")
-        a, b, c = (float(x) for x in args.abc.split(","))
-        return WeightFamily.hypergeometric(a, b, c)
-    raise argparse.ArgumentTypeError(f"unknown family {name!r}")
+def _hypergeom(args) -> WeightFamily:
+    if args.abc is None:
+        raise argparse.ArgumentTypeError("--family hypergeom requires --abc A,B,C")
+    a, b, c = (float(x) for x in args.abc.split(","))
+    return WeightFamily.hypergeometric(a, b, c)
+
+
+# --family name -> weight family built from the parsed flags
+_FAMILIES = {
+    "power": lambda args: WeightFamily.power(),
+    "even": lambda args: WeightFamily.even(),
+    "odd": lambda args: WeightFamily.odd_with_unit_head(),
+    "shifted-linear": lambda args: WeightFamily.shifted_linear(args.start),
+    "power-alpha": lambda args: WeightFamily.power_alpha(args.alpha, args.start),
+    "hypergeom": _hypergeom,
+}
+
+_LAMBDAS = {"zero": lambda_zero, "one": lambda_one}
+
+# --functional name -> (radius kind it is sharp at, its problem for a family and the parsed flags)
+_FUNCTIONALS = {
+    "refined": ("analytic", lambda family, args: analytic_problem(family, args.p, args.gamma, _LAMBDAS[args.lam])),
+    "harmonic": ("harmonic", lambda family, args: harmonic_problem(family, args.p, args.gamma, args.k)),
+    "subordination": ("subordination", lambda family, args: subordination_problem(family, args.k)),
+}
 
 
 _RADIUS_COLUMNS = [
@@ -116,40 +123,30 @@ _RADIUS_COLUMNS = [
 ]
 
 
-def _radius_row(case, family_name, kind, p, gamma, k, K, y, closed, result) -> dict:
-    return {
-        "case": case,
-        "family": family_name,
-        "kind": kind,
-        "p": p,
-        "gamma": gamma,
-        "k": k,
-        "K": K,
-        "y": y,
-        "value_closed": closed,
-        "value_bisect": None if result is None else result.value,
-        "delta": None if (closed is None or result is None) else abs(closed - result.value),
-        "residual": None if result is None else result.residual,
-        "iterations": None if result is None else result.iterations,
-    }
+def _radius_row(result, closed: float | None = None, **params) -> dict:
+    """One radius row; params fill the leading columns, the others stay empty."""
+    row = dict.fromkeys(_RADIUS_COLUMNS)
+    row.update(params)
+    row.update(
+        value_closed=closed,
+        value_bisect=result.value,
+        delta=None if closed is None else abs(closed - result.value),
+        residual=result.residual,
+        iterations=result.iterations,
+    )
+    return row
 
 
 def _cmd_radius(args) -> int:
     if args.case:
-        params = {name: getattr(args, name if name != "K" else "big_k") for name in _CATALOG[args.case].params}
+        params = {name: getattr(args, name) for name in _CATALOG[args.case].params}
         closed = closed_form_radius(args.case, **params)
         result = catalog_solver(args.case, tol=args.tol, **params)
-        row = _radius_row(
-            args.case, None, None,
-            params.get("p"), params.get("gamma"), params.get("k"), params.get("K"), params.get("y"),
-            closed, result,
-        )
+        row = _radius_row(result, closed, case=args.case, **params)
     else:
-        family = _family_from_args(args)
+        family = _FAMILIES[args.family](args)
         result = _solve_kind(args.kind, family, args.p, args.gamma, args.k, args.tol)
-        row = _radius_row(
-            None, family.name, args.kind, args.p, args.gamma, args.k, None, None, None, result
-        )
+        row = _radius_row(result, family=family.name, kind=args.kind, p=args.p, gamma=args.gamma, k=args.k)
     _emit("radius", [row], _RADIUS_COLUMNS, args)
     return 0
 
@@ -159,12 +156,10 @@ def _cmd_table(args) -> int:
     for p in _grid(args.p):
         for gamma in _grid(args.gamma):
             for k in _grid(args.k):
-                family = _family_from_args(args)
+                family = _FAMILIES[args.family](args)
                 result = _solve_kind(args.kind, family, p, gamma, k, args.tol)
                 closed = _closed_form_for(family, args.kind, p, gamma, k)
-                row = _radius_row(
-                    None, family.name, args.kind, p, gamma, k, None, None, closed, result
-                )
+                row = _radius_row(result, closed, family=family.name, kind=args.kind, p=p, gamma=gamma, k=k)
                 row["mismatch"] = (
                     "" if closed is None else ("MISMATCH" if abs(closed - result.value) > 1e-10 else "ok")
                 )
@@ -174,20 +169,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family = _family_from_args(args)
-    lam = lambda_one if args.lam == "one" else lambda_zero
-    if args.functional == "refined":
-        stream = mobius_extremal(ExtremalParams(a=args.a, gamma=args.gamma))
-        value = refined_functional(stream, family, args.p, args.gamma, lam, args.r)
-        threshold = weight_at(family, 0, args.r)
-    elif args.functional == "harmonic":
-        fmap = harmonic_extremal(ExtremalParams(a=args.a, gamma=args.gamma, k=args.k))
-        value = harmonic_functional(fmap, family, args.p, args.r)
-        threshold = weight_at(family, 0, args.r)
-    else:
-        witness = subordination_extremal(args.k)
-        value = q_functional(witness.fmap, family, args.r)
-        threshold = witness.distance * weight_at(family, 0, args.r)
+    family = _FAMILIES[args.family](args)
+    problem = _FUNCTIONALS[args.functional][1](family, args)
+    value = problem.evaluate(args.a, args.r)
+    threshold = problem.threshold(args.r)
     row = {
         "functional": args.functional,
         "a": args.a,
@@ -205,17 +190,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    family = _family_from_args(args)
-    if args.functional == "refined":
-        lam = lambda_one if args.lam == "one" else lambda_zero
-        problem = analytic_problem(family, args.p, args.gamma, lam)
-    elif args.functional == "harmonic":
-        problem = harmonic_problem(family, args.p, args.gamma, args.k)
-    else:
-        problem = subordination_problem(family, args.k)
+    family = _FAMILIES[args.family](args)
+    kind, make_problem = _FUNCTIONALS[args.functional]
+    problem = make_problem(family, args)
     radius = args.radius
     if radius is None:
-        kind = "analytic" if args.functional == "refined" else args.functional
         radius = _solve_kind(kind, family, args.p, args.gamma, args.k).value
     grid = [float(x) for x in args.a_grid.split(",")] if args.a_grid else list(DEFAULT_A_GRID)
     witness = sharpness_probe(radius, problem, eps=args.eps, a_grid=grid)
@@ -262,6 +241,28 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+def _output_flags(sp) -> None:
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--output", default=None, help="write to file instead of stdout")
+
+
+def _family_flags(sp) -> None:
+    sp.add_argument("--family", choices=tuple(_FAMILIES), default="power")
+    sp.add_argument("--start", type=int, default=1, help="first weighted index (shifted families)")
+    sp.add_argument("--alpha", type=float, default=1.0, help="power-alpha exponent")
+    sp.add_argument("--abc", default=None, help="hypergeom parameters A,B,C")
+
+
+def _problem_flags(sp) -> None:
+    """The flags of verify and sharpness: which inequality, on which family."""
+    sp.add_argument("--functional", choices=tuple(_FUNCTIONALS), default="refined")
+    _family_flags(sp)
+    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--gamma", type=float, default=0.0)
+    sp.add_argument("--k", type=float, default=0.0)
+    sp.add_argument("--lambda", dest="lam", choices=tuple(_LAMBDAS), default="one")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bohrad",
@@ -269,72 +270,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", default=None, help="write to file instead of stdout")
-
-    def family_flags(sp):
-        sp.add_argument(
-            "--family",
-            choices=("power", "even", "odd", "shifted-linear", "power-alpha", "hypergeom"),
-            default="power",
-        )
-        sp.add_argument("--start", type=int, default=1, help="first weighted index (shifted families)")
-        sp.add_argument("--alpha", type=float, default=1.0, help="power-alpha exponent")
-        sp.add_argument("--abc", default=None, help="hypergeom parameters A,B,C")
-
     sp = sub.add_parser("radius", help="compute one radius (closed form and/or bisection)")
     sp.add_argument("--case", choices=tuple(_CATALOG), default=None, help="catalog case (runs both routes)")
     sp.add_argument("--kind", choices=("analytic", "harmonic", "subordination"), default="analytic")
-    family_flags(sp)
+    _family_flags(sp)
     sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=0.0)
     sp.add_argument("--k", type=float, default=0.0)
-    sp.add_argument("--K", dest="big_k", type=float, default=1.0, help="quasiconformality constant")
+    sp.add_argument("--K", type=float, default=1.0, help="quasiconformality constant")
     sp.add_argument("--y", type=float, default=1.0, help="binomial exponent")
     sp.add_argument("--tol", type=float, default=1e-12)
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_radius)
 
     sp = sub.add_parser("table", help="sweep radii over parameter grids")
     sp.add_argument("--kind", choices=("analytic", "harmonic", "subordination"), default="analytic")
-    family_flags(sp)
+    _family_flags(sp)
     sp.add_argument("--p", default="1", help="value or LO:HI:STEP")
     sp.add_argument("--gamma", default="0", help="value or LO:HI:STEP")
     sp.add_argument("--k", default="0", help="value or LO:HI:STEP")
     sp.add_argument("--tol", type=float, default=1e-12)
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("verify", help="evaluate a functional for an extremal map at r")
-    sp.add_argument("--functional", choices=("refined", "harmonic", "subordination"), default="refined")
-    family_flags(sp)
+    _problem_flags(sp)
     sp.add_argument("--a", type=float, default=0.9)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--k", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", choices=("zero", "one"), default="one")
     sp.add_argument("--r", type=float, required=True)
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("sharpness", help="probe for a violation just past a radius")
-    sp.add_argument("--functional", choices=("refined", "harmonic", "subordination"), default="refined")
-    family_flags(sp)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--k", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", choices=("zero", "one"), default="one")
+    _problem_flags(sp)
     sp.add_argument("--radius", type=float, default=None, help="override the solved radius")
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--a-grid", default=None, help="comma-separated extremal parameters")
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_sharpness)
 
     sp = sub.add_parser("boundary", help="boundary circle points of Omega(gamma)")
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--count", type=int, default=64)
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_boundary)
 
     sp = sub.add_parser("convolve", help="termwise product with a Gauss series")
@@ -343,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--coeffs", required=True, help="comma-separated coefficient list")
     sp.add_argument("--n", type=int, default=8, help="largest index to print")
-    common(sp)
+    _output_flags(sp)
     sp.set_defaults(func=_cmd_convolve)
 
     return parser

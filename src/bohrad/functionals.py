@@ -109,16 +109,19 @@ def a_term(f: CoefficientStream, family: WeightFamily, r: float, tol: float = 1e
     raise TruncationError("refinement term did not converge within the term cap", partial=total)
 
 
-def _weighted_tail(get: Callable[[int], float], family: WeightFamily, r: float, tol: float) -> float:
+def _weighted_tail(
+    get: Callable[[int], float], family: WeightFamily, r: float, tol: float, max_terms: int = _MAX_TERMS
+) -> float:
     """sum_{n>=1} get(n) * phi_n(r), stopping on the certified tail bound.
 
-    The unseen moduli are bounded by max(1, moduli seen), mirroring the
-    majorant contract.
+    The unseen moduli are bounded by max(1, moduli seen): every stream built
+    by this library has all moduli <= max(1, early terms), and callers with
+    wilder streams should scale first.
     """
     total = 0.0
     sup = 1.0
     inner = tol / 16.0
-    for n in range(1, _MAX_TERMS):
+    for n in range(1, max_terms):
         v = get(n)
         if v > sup:
             sup = v
@@ -126,6 +129,16 @@ def _weighted_tail(get: Callable[[int], float], family: WeightFamily, r: float, 
         if sup * tail_value(family, n + 1, r, inner) <= tol:
             return total
     raise TruncationError("weighted sum did not converge within the term cap", partial=total)
+
+
+def majorant(f: CoefficientStream, r: float, tol: float = 1e-12, max_terms: int = _MAX_TERMS) -> float:
+    """Majorant series M_f(r) = sum_{n>=0} |a_n| r^n.
+
+    This is the unrefined power-weight functional at p = 1, truncated once
+    sup|a_n| * Phi_{N+1}(r) <= tol like every weighted sum here.
+    """
+    _check_r(r)
+    return f.at(0) + _weighted_tail(f.at, WeightFamily.power(), r, tol, max_terms)
 
 
 def refined_functional(

@@ -86,8 +86,10 @@ def _bracket(
     halves the floor instead until past fails, and raises at_origin once past
     holds down to the smallest normal float.  Then halves the bracket
     (lo, hi), past(lo) false and past(hi) true, until hi - lo <= width or
-    _MAX_BISECT halvings.  Returns (lo, hi, halvings); hi is None, and lo the
-    last point scanned, when past never holds up to _R_HIGH.
+    _MAX_BISECT halvings; below SCAN_STEP the width shrinks in proportion
+    to hi, so tiny roots keep their relative accuracy.  Returns (lo, hi,
+    halvings); hi is None, and lo the last point scanned, when past never
+    holds up to _R_HIGH.
     """
     lo, hi = _R_LOW, None
     if past(lo):
@@ -107,7 +109,7 @@ def _bracket(
         else:
             return lo, None, 0
     halvings = 0
-    while hi - lo > width and halvings < _MAX_BISECT:
+    while hi - lo > width * min(1.0, hi / SCAN_STEP) and halvings < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if past(mid):
             hi = mid
@@ -127,8 +129,8 @@ def solve_radius(
 
     Scans outward in steps of 1e-3 for the first sign change of the gap
     lhs_scale * Phi_1 - rhs_scale * phi_0 (negative below the radius), then
-    bisects the bracket down to tol.  A root below the scan's start 1e-9 is
-    found by walking the start toward 0.
+    bisects the bracket down to tol (relative to SCAN_STEP below it).  A
+    root below the scan's start 1e-9 is found by walking the start toward 0.
     """
     if lhs_scale <= 0.0 or rhs_scale <= 0.0:
         raise ParameterError("both equation scales must be positive")
@@ -332,7 +334,8 @@ def _closed_form_for(family: WeightFamily, kind: str, p: float, gamma: float, k:
     """The catalog formula for a (family, kind, p, gamma, k) radius, or None.
 
     A case with p free wins over its fixed-p specialisation (classical is
-    power at p = 1).  K is read off k by K = (1+k)/(1-k), so k = 1 has none.
+    power at p = 1).  K is read off k by K = (1+k)/(1-k), so k = 1 has none,
+    and neither has a family whose parameters the case's validators reject.
     """
     swept = {"p": p, "gamma": gamma, "k": k, "K": (1.0 + k) / (1.0 - k) if k < 1.0 else None}
     for case in sorted(_CATALOG.values(), key=lambda c: c.p is not None):
@@ -345,7 +348,10 @@ def _closed_form_for(family: WeightFamily, kind: str, p: float, gamma: float, k:
         params = {name: values[name] for name in case.params}
         if None in params.values():
             return None
-        return closed_form_radius(case.name, **params)
+        try:
+            return closed_form_radius(case.name, **params)
+        except ParameterError:  # e.g. binomial needs y = a > 0
+            return None
     return None
 
 

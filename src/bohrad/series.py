@@ -12,9 +12,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainError, ParameterError, TruncationError, check_k
-
-_MAX_TERMS = 1_000_000
+from .errors import ParameterError, check_k
 
 
 @dataclass(frozen=True)
@@ -69,34 +67,6 @@ class HarmonicMap:
 
     def __post_init__(self):
         check_k(self.k)
-
-
-def majorant(f: CoefficientStream, r: float, tol: float = 1e-12, max_terms: int = _MAX_TERMS) -> float:
-    """Majorant series M_f(r) = sum_{n>=0} |a_n| r^n.
-
-    Truncation is certified against the geometric bound
-    sup|a_n| * r^{N+1} / (1-r), taking the supremum as max(1, moduli seen so
-    far); every stream built by this library has all moduli <= max(1, early
-    terms), and callers with wilder streams should scale first.
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"majorant is defined for r in [0, 1), got r={r}")
-    total = f.at(0)
-    if r == 0.0:
-        return total
-    sup = 1.0
-    rpow = 1.0
-    geometric = r / (1.0 - r)
-    for n in range(1, max_terms + 1):
-        # remainder past n-1 is at most sup * r^n / (1-r)
-        if sup * rpow * geometric <= tol:
-            return total
-        an = f.at(n)
-        if an > sup:
-            sup = an
-        rpow *= r
-        total += an * rpow
-    raise TruncationError("majorant did not meet tolerance within the term cap", partial=total)
 
 
 def hadamard(f: CoefficientStream, g: CoefficientStream) -> CoefficientStream:

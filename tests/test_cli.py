@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bohrad.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_csv(capsys, argv):
@@ -73,6 +77,14 @@ class TestTable:
         assert code == 0
         assert len(rows) == 25
         assert all(r["mismatch"] == "ok" for r in rows)
+
+    def test_unit_bc_hypergeom_outside_binomial_case(self, capsys):
+        # b = c = 1 looks like the binomial case, whose formula needs a > 0
+        code, rows = run_csv(capsys, ["table", "--family", "hypergeom", "--abc=-0.5,1,1", "--p", "1"])
+        assert code == 0
+        assert rows[0]["value_bisect"] == "0.750000000001"
+        assert rows[0]["value_closed"] == ""
+        assert rows[0]["mismatch"] == ""
 
     def test_json_rows_wrapper(self, capsys):
         code = main(["table", "--family", "power", "--p", "1", "--gamma", "0:0.2:0.1", "--format", "json"])
@@ -204,10 +216,14 @@ class TestPlumbing:
         assert main(["--help"]) == 0
 
     def test_module_entry_point(self):
+        # the child process sees src only through PYTHONPATH, not pytest's pythonpath
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bohrad", "radius", "--case", "classical"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "0.333333333333" in proc.stdout

@@ -18,6 +18,7 @@ from bohrad import (
     harmonic_functional,
     lambda_one,
     lambda_zero,
+    majorant,
     mobius_extremal,
     q_functional,
     refined_functional,
@@ -197,6 +198,21 @@ class TestQFunctional:
         )
         r = 0.4
         assert q_functional(f1, POWER, r) == q_functional(f2, POWER, r)
+
+
+class TestMajorant:
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            mobius_extremal(ExtremalParams(a=0.9)),
+            CoefficientStream.from_sequence([0.5, 0.3, 0.0, 0.2]),
+            CoefficientStream(lambda n: 0.6 if n == 0 else 0.64 * 0.6 ** (n - 1)),
+        ],
+    )
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.55, 0.8])
+    def test_is_power_weight_functional_at_p_one(self, stream, r):
+        # one weighted sum serves both: same terms, same order, same stop
+        assert majorant(stream, r) == refined_functional(stream, POWER, 1.0, 0.0, lambda_zero, r)
 
 
 class TestSubordinationContext:

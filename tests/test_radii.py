@@ -105,6 +105,11 @@ class TestSolveRadius:
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(row["value_bisect"]) == pytest.approx(float(argv[-1]) / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-20, 1e-12, 1e-9, 1e-8, 1e-6])
+    def test_tiny_roots_to_relative_accuracy(self, p):
+        # the bisection stops at a width relative to the root, not at 2 tol
+        assert analytic_radius(POWER, p, 0.0).value == pytest.approx(p / (2.0 + p), rel=1e-8, abs=0.0)
+
     def test_scale_validation(self):
         with pytest.raises(ParameterError):
             solve_radius(POWER, 0.0, 1.0)
