@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -263,7 +264,13 @@ def _problem_flags(sp) -> None:
     sp.add_argument("--lambda", dest="lam", choices=tuple(_LAMBDAS), default="one")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every call.
+
+    Parsing leaves it unchanged and every default is immutable, so calls
+    cannot leak state into each other; do not modify the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="bohrad",
         description="Bohr-type radii for weighted majorant series on a family of disks.",

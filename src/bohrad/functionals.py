@@ -12,6 +12,14 @@ with refinement term
 The harmonic variant replaces |a_n| with |a_n| + |b_n|; the tail functional
 drops the head entirely and is compared against d * phi_0(r) where d is the
 distance from the subordinating map's center value to its boundary.
+
+Both sums need the tail Phi_{m+1}(r) next to every weight phi_m(r): the
+weighted sum for its stop rule, the refinement term inside each term.  The
+weights are read in blocks that double in length (32, 64, 128, ...); each
+block costs one tail call Phi_end(r) at its end, and the tails inside the
+block are its suffix sums, added from the block's end.  For series-backed
+tails a sum of N terms so costs O(N) weight reads and O(log N) tail calls,
+where one tail call per term would cost O(N^2).
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from .weights import WeightFamily, tail_value, weight_at
 
 _MAX_TERMS = 1_000_000
 _LOG_POW_CUTOFF = 1e-8
+_BLOCK_START = 32  # weights in the first block
+_BLOCK_GROWTH = 2  # each next block is this many times as long
 
 LambdaWeight = Callable[[float], float]
 
@@ -81,6 +91,23 @@ class SubordinationContext:
             )
 
 
+def _weights_and_tails(family: WeightFamily, r: float, tol: float, start: int, stop: int):
+    """Yield (m, phi_m(r), Phi_{m+1}(r)) for m = start, ..., stop - 1.
+
+    One tail call per block (at tolerance tol), suffix sums inside it; no
+    weight at an index >= stop is read.
+    """
+    lo, size = start, _BLOCK_START
+    while lo < stop:
+        hi = min(lo + size, stop)
+        weights = [weight_at(family, m, r) for m in range(lo, hi)]
+        tails = [tail_value(family, hi, r, tol)]
+        for w in reversed(weights[1:]):
+            tails.append(tails[-1] + w)
+        yield from zip(range(lo, hi), weights, reversed(tails))
+        lo, size = hi, _BLOCK_GROWTH * size
+
+
 def a_term(f: CoefficientStream, family: WeightFamily, r: float, tol: float = 1e-12) -> float:
     """Refinement term A(f, r); requires every modulus <= 1."""
     _check_r(r)
@@ -91,14 +118,16 @@ def a_term(f: CoefficientStream, family: WeightFamily, r: float, tol: float = 1e
     small = 0
     min_terms = max(8, (f.order_hint or 0) // 2 + 1)
     inner = tol / 16.0
-    for n in range(1, _MAX_TERMS):
+    for m, phi, tail in _weights_and_tails(family, r, inner, 2, 2 * _MAX_TERMS - 1):
+        if m % 2:
+            continue
+        n = m // 2
         an = f.at(n)
         if an > 1.0:
             raise UnsupportedInputError(
                 f"|a_{n}|={an} > 1; the refinement series need not converge"
             )
-        weight = weight_at(family, 2 * n, r) / (1.0 + a0) + tail_value(family, 2 * n + 1, r, inner)
-        term = _modulus_power(an, n) * weight
+        term = _modulus_power(an, n) * (phi / (1.0 + a0) + tail)
         total += term
         if term <= tol * max(1.0, total) / 8.0:
             small += 1
@@ -114,6 +143,11 @@ def _weighted_tail(
 ) -> float:
     """sum_{n>=1} get(n) * phi_n(r), stopping on the certified tail bound.
 
+    The sum stops at the first n with sup * Phi_{n+1}(r) <= tol.  The tails
+    come from _weights_and_tails: one tail call at the end of each block of
+    weights (blocks double from 32), plus suffix sums of the block's weights
+    below that end, so reading to index N costs O(log N) tail calls.
+
     The unseen moduli are bounded by max(1, moduli seen): every stream built
     by this library has all moduli <= max(1, early terms), and callers with
     wilder streams should scale first.
@@ -121,12 +155,12 @@ def _weighted_tail(
     total = 0.0
     sup = 1.0
     inner = tol / 16.0
-    for n in range(1, max_terms):
+    for n, phi, tail in _weights_and_tails(family, r, inner, 1, max_terms):
         v = get(n)
         if v > sup:
             sup = v
-        total += v * weight_at(family, n, r)
-        if sup * tail_value(family, n + 1, r, inner) <= tol:
+        total += v * phi
+        if sup * tail <= tol:
             return total
     raise TruncationError("weighted sum did not converge within the term cap", partial=total)
 

@@ -141,7 +141,7 @@ def solve_radius(
     rule = family._rule
 
     def gap(r: float) -> float:
-        return lhs_scale * tail(1, r, _GAP_TOL) - rhs_scale * rule(0, r)
+        return lhs_scale * tail(1, r, _GAP_TOL)[0] - rhs_scale * rule(0, r)
 
     lo, hi, iterations = _bracket(
         lambda r: gap(r) >= 0.0,

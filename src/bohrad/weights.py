@@ -12,10 +12,11 @@ phi_n(r) = r^n; the other built-ins thin or reweight the powers:
     hypergeometric     phi_n = |gamma_n| r^n with gamma_n the Gauss series
                        coefficients (a)_n (b)_n / ((c)_n n!)
 
-Each family carries one tail strategy (N, r, tol) -> Phi_N(r) =
-sum_{n >= N} phi_n(r): the closed form wherever one exists, the Gauss series
-for hypergeometric weights, and certified summation of the rule for custom
-rules without a closed form.
+Each family carries one tail strategy (N, r, tol) -> (Phi_N(r), terms summed,
+remainder bound), with Phi_N(r) = sum_{n >= N} phi_n(r): the closed form
+wherever one exists (no terms, no remainder), the Gauss series for
+hypergeometric weights, and certified summation of the rule for custom rules
+without a closed form.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class WeightFamily:
         self.r_max = float(r_max)
         self.params = dict(params or {})
         self._rule = rule
-        self._closed = tail is not None
-        # the tail strategy (N, r, tol) -> Phi_N(r): the closed form when there
-        # is one, certified summation of the rule otherwise
-        self._tail = (lambda N, r, tol: tail(N, r)) if tail is not None else self._series_tail
+        # the tail strategy (N, r, tol) -> (Phi_N(r), terms summed, remainder
+        # bound): the closed form when there is one, certified summation of the
+        # rule otherwise
+        self._tail = (lambda N, r, tol: (tail(N, r), 0, 0.0)) if tail is not None else self._series_tail
 
     def __repr__(self):  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -201,7 +202,7 @@ class WeightFamily:
 
         def tail(N, r, tol):
             if r == 0.0:
-                return abs(coeff(N)) if N == 0 else 0.0
+                return (abs(coeff(N)) if N == 0 else 0.0), 0, 0.0
             total = 0.0
             rpow = r**N
             small = 0
@@ -212,10 +213,11 @@ class WeightFamily:
                 # coefficient ratios tend to 1, so terms eventually decay like r^n
                 q = abs(params.term_ratio(n)) * r
                 q = min(max(q, r), 1.0 - 1e-12)
-                if t * q / (1.0 - q) < 0.5 * tol:
+                bound = t * q / (1.0 - q)
+                if bound < 0.5 * tol:
                     small += 1
                     if small >= 2:
-                        return total
+                        return total, n - N + 1, bound
                 else:
                     small = 0
                 rpow *= r
@@ -268,7 +270,7 @@ class WeightFamily:
             if t == 0.0 or bound < tol:
                 small += 1
                 if small >= 3 and i >= 8:
-                    return total
+                    return total, i + 1, bound
             else:
                 small = 0
         raise TruncationError("weight tail did not converge within the term cap", partial=total)
@@ -286,19 +288,21 @@ def weight_at(family: WeightFamily, n: int, r: float) -> float:
     return float(value)
 
 
-def tail_value(family: WeightFamily, N: int, r: float, tol: float = 1e-12) -> float:
-    """Tail sum Phi_N(r) as a bare float (hot path; see tail_sum for metadata)."""
+def _checked_tail(family: WeightFamily, N: int, r: float, tol: float) -> tuple[float, int, float]:
     if N < 0 or not float(N).is_integer():
         raise ParameterError(f"tail start must be a nonnegative integer, got {N!r}")
     if not 0.0 <= r < 1.0:
         raise DomainError(f"tail sums are defined for r in [0, 1), got r={r}")
     family._check_converges(r)
-    return float(family._tail(int(N), r, tol))
+    return family._tail(int(N), r, tol)
+
+
+def tail_value(family: WeightFamily, N: int, r: float, tol: float = 1e-12) -> float:
+    """Tail sum Phi_N(r) as a bare float (hot path; see tail_sum for metadata)."""
+    return float(_checked_tail(family, N, r, tol)[0])
 
 
 def tail_sum(family: WeightFamily, N: int, r: float, tol: float = 1e-12) -> TailSum:
     """Tail sum Phi_N(r) = sum_{n>=N} phi_n(r) with truncation metadata."""
-    value = tail_value(family, N, r, tol)
-    if family._closed:
-        return TailSum(value=value, truncation_order=0, bound_on_remainder=0.0)
-    return TailSum(value=value, truncation_order=int(N), bound_on_remainder=tol)
+    value, terms, bound = _checked_tail(family, N, r, tol)
+    return TailSum(value=float(value), truncation_order=terms, bound_on_remainder=bound)

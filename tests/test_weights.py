@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,38 @@ class TestTails:
         assert summed.bound_on_remainder <= 1e-10
         want = brute_tail(rule, 1, 0.5)
         assert abs(summed.value - want) <= 1e-10
+
+    def test_tail_sum_counts_the_terms_it_summed(self):
+        calls = []
+
+        def rule(n, r):
+            calls.append(n)
+            return r**n / (n + 1.0)
+
+        fam = WeightFamily.custom(rule, r_max=1.0)
+        summed = tail_sum(fam, 5, 0.5, tol=1e-10)
+        assert summed.truncation_order == len(calls)
+        assert calls == list(range(5, 5 + len(calls)))
+        with mp.workdps(50):
+            rest = mp.nsum(lambda n: mp.mpf(0.5) ** n / (n + 1), [5 + len(calls), mp.inf])
+        assert float(rest) <= summed.bound_on_remainder <= 1e-10
+
+    @pytest.mark.parametrize(
+        "abc, N, r",
+        [((0.5, 1.5, 2.5), 3, 0.7), ((1.5, 1.5, 1.0), 1, 0.9), ((0.5, 1.0, 1.0), 2, 0.95), ((-0.5, 1.0, 1.0), 1, 0.8)],
+    )
+    def test_hypergeometric_tail_sum_bounds_its_remainder(self, abc, N, r):
+        tol = 1e-10
+        summed = tail_sum(WeightFamily.hypergeometric(*abc), N, r, tol)
+        assert summed.truncation_order > 0
+        # the true remainder |2F1 - 1| minus every term summed (n >= 1 share one sign)
+        with mp.workdps(50):
+            a, b, c = (mp.mpf(x) for x in abc)
+            x = mp.mpf(r)
+            head = mp.fsum(mp.rf(a, n) * mp.rf(b, n) / (mp.rf(c, n) * mp.factorial(n)) * x**n
+                           for n in range(1, N + summed.truncation_order))
+            rest = abs(mp.hyp2f1(a, b, c, x) - 1 - head)
+        assert float(rest) <= summed.bound_on_remainder <= tol
 
     def test_divergence_outside_declared_radius(self):
         fam = WeightFamily.custom(lambda n, r: (r / 0.8) ** n, r_max=0.8)
