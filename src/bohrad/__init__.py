@@ -32,7 +32,6 @@ from .extremal import (
     subordination_extremal,
 )
 from .functionals import (
-    SubordinationContext,
     a_term,
     aux_tail,
     harmonic_functional,
@@ -82,7 +81,6 @@ __all__ = [
     "ParameterError",
     "RadiusResult",
     "SharpnessWitness",
-    "SubordinationContext",
     "SubordinationExtremal",
     "TailSum",
     "TruncationError",

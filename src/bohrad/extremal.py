@@ -16,6 +16,16 @@ As a -> 1- the head tends to 1 and the tail to 0, which is what makes every
 radius here sharp.  The harmonic extremal adds the co-analytic stream
 |b_n| = k |a_n|; the subordination extremal is psi(z) = 1/(1-z) with
 g(z) = k z/(1-z) and distance 1/2 from psi(0) to the boundary.
+
+ExtremalParams carries head, lead and q, so the moduli are written down once.
+For the built-in weight families, phi_n(r) = c_n r^n, the geometric tail
+sums in closed form,
+
+    sum_{n>=1} |a_n| phi_n(r) = lead * Phi_1(q r),
+
+and the subordination extremal's sum_{n>=1} (|a_n| + |b_n|) phi_n(r) is
+(1 + k) Phi_1(r); the problems in radii evaluate these without building a
+stream.
 """
 
 from __future__ import annotations
@@ -65,13 +75,25 @@ class ExtremalParams:
         check_gamma(self.gamma)
         check_k(self.k)
 
+    @property
+    def head(self) -> float:
+        """|a_0| = |a - gamma| / (1 - a gamma)."""
+        return abs(self.a - self.gamma) / (1.0 - self.a * self.gamma)
+
+    @property
+    def lead(self) -> float:
+        """(1 - a^2) / (a (1 - a gamma)), so that |a_n| = lead * q^n for n >= 1."""
+        return (1.0 - self.a * self.a) / (self.a * (1.0 - self.a * self.gamma))
+
+    @property
+    def q(self) -> float:
+        """Ratio a (1 - gamma) / (1 - a gamma) of successive moduli, in (0, 1)."""
+        return self.a * (1.0 - self.gamma) / (1.0 - self.a * self.gamma)
+
 
 def mobius_extremal(params: ExtremalParams, order: int | None = None) -> CoefficientStream:
     """Coefficient modulus stream of the extremal h_a on Omega(gamma)."""
-    a, gamma = params.a, params.gamma
-    head = abs(a - gamma) / (1.0 - a * gamma)
-    lead = (1.0 - a * a) / (a * (1.0 - a * gamma))
-    q = a * (1.0 - gamma) / (1.0 - a * gamma)
+    head, lead, q = params.head, params.lead, params.q
 
     def produce(n: int) -> float:
         if n == 0:
@@ -98,12 +120,21 @@ class SubordinationExtremal:
 
     fmap holds the streams of psi(z) = 1/(1-z) (all moduli 1) and
     g(z) = k z/(1-z); distance is dist(psi(0), boundary of psi(D)) = 1/2 and
-    psi_prime_at_0 = 1, so the distance sits inside [|psi'(0)|/2, |psi'(0)|].
+    psi_prime_at_0 = 1.  Any distance must sit inside [|psi'(0)|/2, |psi'(0)|],
+    and ParameterError is raised otherwise.
     """
 
     fmap: HarmonicMap
     distance: float = 0.5
     psi_prime_at_0: float = 1.0
+
+    def __post_init__(self):
+        lo = 0.5 * abs(self.psi_prime_at_0)
+        hi = abs(self.psi_prime_at_0)
+        if not lo <= self.distance <= hi:
+            raise ParameterError(
+                f"distance {self.distance} outside [{lo}, {hi}] allowed by the derivative"
+            )
 
 
 def subordination_extremal(k: float, order: int | None = None) -> SubordinationExtremal:

@@ -24,11 +24,12 @@ where one tail call per term would cost O(N^2).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ParameterError, TruncationError, UnsupportedInputError, check_gamma, check_p
+from .extremal import ExtremalParams
 from .series import CoefficientStream, HarmonicMap
 from .weights import WeightFamily, tail_value, weight_at
 
@@ -69,26 +70,6 @@ def _modulus_power(an: float, n: int) -> float:
     if an < _LOG_POW_CUTOFF:
         return math.exp(2.0 * n * math.log(an))
     return an ** (2 * n)
-
-
-@dataclass(frozen=True)
-class SubordinationContext:
-    """Distance data for a subordination pair.
-
-    distance = dist(psi(0), boundary psi(D)) must sit between
-    |psi'(0)|/2 and |psi'(0)|.
-    """
-
-    distance: float
-    psi_prime_at_0: float
-
-    def __post_init__(self):
-        lo = 0.5 * abs(self.psi_prime_at_0)
-        hi = abs(self.psi_prime_at_0)
-        if not lo <= self.distance <= hi:
-            raise ParameterError(
-                f"distance {self.distance} outside [{lo}, {hi}] allowed by the derivative"
-            )
 
 
 def _weights_and_tails(family: WeightFamily, r: float, tol: float, start: int, stop: int):
@@ -143,7 +124,8 @@ def _weighted_tail(
 ) -> float:
     """sum_{n>=1} get(n) * phi_n(r), stopping on the certified tail bound.
 
-    The sum stops at the first n with sup * Phi_{n+1}(r) <= tol.  The tails
+    The sum stops at the first n with sup * (Phi_{n+1}(r) + inner) <= tol,
+    where inner = tol/16 is the error each tail is summed to.  The tails
     come from _weights_and_tails: one tail call at the end of each block of
     weights (blocks double from 32), plus suffix sums of the block's weights
     below that end, so reading to index N costs O(log N) tail calls.
@@ -160,7 +142,7 @@ def _weighted_tail(
         if v > sup:
             sup = v
         total += v * phi
-        if sup * tail <= tol:
+        if sup * (tail + inner) <= tol:
             return total
     raise TruncationError("weighted sum did not converge within the term cap", partial=total)
 
@@ -169,7 +151,7 @@ def majorant(f: CoefficientStream, r: float, tol: float = 1e-12, max_terms: int 
     """Majorant series M_f(r) = sum_{n>=0} |a_n| r^n.
 
     This is the unrefined power-weight functional at p = 1, truncated once
-    sup|a_n| * Phi_{N+1}(r) <= tol like every weighted sum here.
+    sup|a_n| * (Phi_{N+1}(r) + tol/16) <= tol like every weighted sum here.
     """
     _check_r(r)
     return f.at(0) + _weighted_tail(f.at, WeightFamily.power(), r, tol, max_terms)
@@ -216,6 +198,76 @@ def q_functional(fmap: HarmonicMap, family: WeightFamily, r: float, tol: float =
     """Headless tail sum_{n>=1} (|a_n| + |b_n|) phi_n(r)."""
     _check_r(r)
     return _weighted_tail(lambda n: fmap.h.at(n) + fmap.g.at(n), family, r, tol)
+
+
+# --- the extremals on power-series weights -----------------------------
+#
+# For phi_n(r) = c_n r^n (WeightFamily._power_series) the geometric moduli
+# |a_n| = lead q^n of the extremal h_a sum in closed form,
+# sum_{n>=1} lead q^n phi_n(r) = lead * Phi_1(q r), and the refinement term
+# stops at an index fixed before any weight is read.  Each function below
+# equals the summed functional on the extremal's streams to within tol.
+
+
+def _extremal_sum(params: ExtremalParams, family: WeightFamily, p: float, r: float, tol: float = 1e-12) -> float:
+    """phi_0(r) |a_0|^p + (1 + k) sum_{n>=1} |a_n| phi_n(r) for h_a.
+
+    This is harmonic_functional(harmonic_extremal(params), ...), and at k = 0
+    the refined functional without its refinement term.
+    """
+    _check_r(r)
+    scale = (1.0 + params.k) * params.lead
+    value = weight_at(family, 0, r) * params.head**p
+    # the tail error is multiplied by scale, which exceeds 1 for small a
+    value += scale * tail_value(family, 1, params.q * r, tol / 16.0 / max(1.0, scale))
+    return value
+
+
+def _extremal_a_term(params: ExtremalParams, family: WeightFamily, r: float, tol: float) -> float:
+    """A(h_a, r) from t_n = |a_n|^{2n} = (lead q^n)^{2n} and N fixed up front.
+
+    Every bracket phi_{2n}(r)/(1 + |a_0|) + Phi_{2n+1}(r) is at most Phi_1(r),
+    and the ratios rho_n = t_{n+1}/t_n = lead^2 q^{4n+2} fall as n grows, so
+    the terms past N add at most Phi_1(r) t_{N+1}/(1 - rho_{N+1}); N is the
+    first index where that is <= tol/8.  The brackets of n <= N come from
+    one block of weights and one tail call at index 2N + 1.
+    """
+    inner = tol / 16.0
+    head, lead, q = params.head, params.lead, params.q
+    bound = tail_value(family, 1, r, inner) + inner
+    powers = []
+    n = 1
+    while True:
+        an = lead * q**n
+        if an > 1.0:
+            raise UnsupportedInputError(f"|a_{n}|={an} > 1; the refinement series need not converge")
+        t = _modulus_power(an, n)
+        if bound * t <= tol / 8.0 * (1.0 - lead * lead * q ** (4 * n + 2)):
+            break
+        powers.append(t)
+        n += 1
+    total = 0.0
+    brackets = _weights_and_tails(family, r, inner, 2, 2 * len(powers) + 1)
+    for t, (_, phi, tail) in zip(powers, itertools.islice(brackets, 0, None, 2)):
+        total += t * (phi / (1.0 + head) + tail)
+    return total
+
+
+def _extremal_refined(
+    params: ExtremalParams, family: WeightFamily, p: float, lam: LambdaWeight, r: float, tol: float = 1e-12
+) -> float:
+    """refined_functional(mobius_extremal(params), ...) on a power-series family."""
+    value = _extremal_sum(params, family, p, r, tol)
+    lam_value = _lambda_value(lam, r)
+    if lam_value > 0.0:
+        value += lam_value * _extremal_a_term(params, family, r, tol)
+    return value
+
+
+def _subordination_q(k: float, family: WeightFamily, r: float, tol: float = 1e-12) -> float:
+    """q_functional(subordination_extremal(k).fmap, ...): (1 + k) Phi_1(r)."""
+    _check_r(r)
+    return (1.0 + k) * tail_value(family, 1, r, tol / 16.0)
 
 
 _AUX_KINDS = ("linear", "quadratic", "shifted_linear")

@@ -26,6 +26,9 @@ from .errors import BohrError, HypothesisError, NoRootError, ParameterError, che
 from .extremal import ExtremalParams, harmonic_extremal, mobius_extremal, subordination_extremal
 from .functionals import (
     LambdaWeight,
+    _extremal_refined,
+    _extremal_sum,
+    _subordination_q,
     harmonic_functional,
     lambda_zero,
     q_functional,
@@ -364,13 +367,26 @@ def analytic_problem(
     gamma: float,
     lam: LambdaWeight = lambda_zero,
 ) -> BohrProblem:
-    """Refined functional on the Moebius extremal family vs phi_0(r)."""
+    """Refined functional on the Moebius extremal family vs phi_0(r).
+
+    On the built-in families (phi_n(r) = c_n r^n) evaluate(a, r) is the closed
+    form phi_0(r) |a_0|^p + lead * Phi_1(q r) + Lambda(r) * A with A summed to
+    an index fixed in advance; on custom rules it is refined_functional of
+    the extremal's stream.
+    """
     check_p(p)
     check_gamma(gamma)
 
-    def evaluate(a: float, r: float) -> float:
-        stream = mobius_extremal(ExtremalParams(a=a, gamma=gamma))
-        return refined_functional(stream, family, p, gamma, lam, r)
+    if family._power_series:
+
+        def evaluate(a: float, r: float) -> float:
+            return _extremal_refined(ExtremalParams(a=a, gamma=gamma), family, p, lam, r)
+
+    else:
+
+        def evaluate(a: float, r: float) -> float:
+            stream = mobius_extremal(ExtremalParams(a=a, gamma=gamma))
+            return refined_functional(stream, family, p, gamma, lam, r)
 
     return BohrProblem(
         evaluate=evaluate,
@@ -380,14 +396,26 @@ def analytic_problem(
 
 
 def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> BohrProblem:
-    """Harmonic functional on the k-dilated extremal family vs phi_0(r)."""
+    """Harmonic functional on the k-dilated extremal family vs phi_0(r).
+
+    On the built-in families evaluate(a, r) is the closed form
+    phi_0(r) |a_0|^p + (1 + k) * lead * Phi_1(q r); on custom rules it is
+    harmonic_functional of the extremal's streams.
+    """
     check_p(p)
     check_gamma(gamma)
     check_k(k)
 
-    def evaluate(a: float, r: float) -> float:
-        fmap = harmonic_extremal(ExtremalParams(a=a, gamma=gamma, k=k))
-        return harmonic_functional(fmap, family, p, r)
+    if family._power_series:
+
+        def evaluate(a: float, r: float) -> float:
+            return _extremal_sum(ExtremalParams(a=a, gamma=gamma, k=k), family, p, r)
+
+    else:
+
+        def evaluate(a: float, r: float) -> float:
+            fmap = harmonic_extremal(ExtremalParams(a=a, gamma=gamma, k=k))
+            return harmonic_functional(fmap, family, p, r)
 
     return BohrProblem(
         evaluate=evaluate,
@@ -397,12 +425,23 @@ def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> 
 
 
 def subordination_problem(family: WeightFamily, k: float) -> BohrProblem:
-    """Tail functional on the fixed subordination extremal vs d * phi_0(r)."""
+    """Tail functional on the fixed subordination extremal vs d * phi_0(r).
+
+    On the built-in families evaluate(a, r) is the closed form (1 + k) Phi_1(r);
+    on custom rules it is q_functional of the extremal's streams.
+    """
     check_k(k)
     witness = subordination_extremal(k)
 
-    def evaluate(a: float, r: float) -> float:
-        return q_functional(witness.fmap, family, r)
+    if family._power_series:
+
+        def evaluate(a: float, r: float) -> float:
+            return _subordination_q(k, family, r)
+
+    else:
+
+        def evaluate(a: float, r: float) -> float:
+            return q_functional(witness.fmap, family, r)
 
     return BohrProblem(
         evaluate=evaluate,

@@ -58,6 +58,11 @@ class WeightFamily:
     for custom rules (mirrored by :meth:`custom`).
     """
 
+    # True when phi_n(r) = c_n r^n for fixed c_n >= 0, so that
+    # sum_n c_n (q r)^n = Phi(q r) for any q in [0, 1]; only the built-in
+    # constructors promise it, never a custom rule
+    _power_series = False
+
     def __init__(
         self,
         name: str,
@@ -85,9 +90,15 @@ class WeightFamily:
     # --- constructors -------------------------------------------------
 
     @classmethod
+    def _built_in(cls, name: str, rule: Callable[[int, float], float], **kwargs) -> "WeightFamily":
+        family = cls(name, rule, **kwargs)
+        family._power_series = True
+        return family
+
+    @classmethod
     def power(cls) -> "WeightFamily":
         """phi_n(r) = r^n, the classical majorant weights."""
-        return cls(
+        return cls._built_in(
             "power",
             lambda n, r: r**n,
             tail=lambda N, r: r**N / (1.0 - r),
@@ -104,7 +115,7 @@ class WeightFamily:
             M = N if N % 2 == 0 else N + 1
             return r**M / (1.0 - r * r)
 
-        return cls("even", rule, tail=tail)
+        return cls._built_in("even", rule, tail=tail)
 
     @classmethod
     def odd_with_unit_head(cls) -> "WeightFamily":
@@ -121,7 +132,7 @@ class WeightFamily:
             M = N if N % 2 == 1 else N + 1
             return r**M / (1.0 - r * r)
 
-        return cls("odd_with_unit_head", rule, tail=tail)
+        return cls._built_in("odd_with_unit_head", rule, tail=tail)
 
     @classmethod
     def shifted_linear(cls, start: int = 1) -> "WeightFamily":
@@ -141,7 +152,7 @@ class WeightFamily:
             core = r**M * (M + 1.0 - M * r) / (1.0 - r) ** 2
             return core + 1.0 if N == 0 else core
 
-        return cls("shifted_linear", rule, tail=tail, params={"start": start})
+        return cls._built_in("shifted_linear", rule, tail=tail, params={"start": start})
 
     @classmethod
     def power_alpha(cls, alpha: float, start: int = 1) -> "WeightFamily":
@@ -162,7 +173,7 @@ class WeightFamily:
             core = 0.0 if r == 0.0 else r**M * lerch_phi(r, -alpha, float(M))
             return core + 1.0 if N == 0 else core
 
-        return cls("power_alpha", rule, tail=tail, params={"alpha": alpha, "start": start})
+        return cls._built_in("power_alpha", rule, tail=tail, params={"alpha": alpha, "start": start})
 
     @classmethod
     def hypergeometric(cls, a: float, b: float, c: float) -> "WeightFamily":
@@ -224,7 +235,7 @@ class WeightFamily:
                 n += 1
             raise TruncationError("hypergeometric tail did not converge", partial=total)
 
-        fam = cls("hypergeometric", rule, params={"a": a, "b": b, "c": c})
+        fam = cls._built_in("hypergeometric", rule, params={"a": a, "b": b, "c": c})
         fam._tail = tail
         fam.coefficient_sign = sign
         return fam

@@ -9,6 +9,7 @@ from bohrad import (
     DomainParams,
     ExtremalParams,
     ParameterError,
+    SubordinationExtremal,
     boundary_points,
     harmonic_extremal,
     mobius_extremal,
@@ -114,6 +115,15 @@ class TestSubordinationExtremal:
         assert witness.fmap.g.at(0) == 0.0
         for n in range(1, 6):
             assert witness.fmap.g.at(n) == 0.5
+
+    def test_distance_window(self):
+        fmap = subordination_extremal(0.0).fmap
+        SubordinationExtremal(fmap, 0.5, 1.0)
+        SubordinationExtremal(fmap, 1.0, 1.0)
+        with pytest.raises(ParameterError):
+            SubordinationExtremal(fmap, 0.4, 1.0)
+        with pytest.raises(ParameterError):
+            SubordinationExtremal(fmap, 1.1, 1.0)
 
 
 class TestBoundaryPoints:

@@ -9,7 +9,6 @@ from bohrad import (
     ExtremalParams,
     HarmonicMap,
     ParameterError,
-    SubordinationContext,
     UnsupportedInputError,
     WeightFamily,
     a_term,
@@ -213,16 +212,6 @@ class TestMajorant:
     def test_is_power_weight_functional_at_p_one(self, stream, r):
         # one weighted sum serves both: same terms, same order, same stop
         assert majorant(stream, r) == refined_functional(stream, POWER, 1.0, 0.0, lambda_zero, r)
-
-
-class TestSubordinationContext:
-    def test_distance_window(self):
-        SubordinationContext(0.5, 1.0)
-        SubordinationContext(1.0, 1.0)
-        with pytest.raises(ParameterError):
-            SubordinationContext(0.4, 1.0)
-        with pytest.raises(ParameterError):
-            SubordinationContext(1.1, 1.0)
 
 
 class TestAuxTail:

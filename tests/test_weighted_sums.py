@@ -1,9 +1,11 @@
 """Weighted sums and refinement terms: accuracy, term caps and cost.
 
 The sums read the weights in doubling blocks with one tail call per block
-and suffix sums inside it.  The oracle here sums the same series in mpmath
-at 50 digits, far past where the library stops, from weights computed in
-mpmath; the cost guard counts tail calls rather than timing anything.
+and suffix sums inside it; the problems of the radii layer evaluate the
+extremals on built-in families in closed form instead.  The oracle here sums
+the same series in mpmath at 50 digits, far past where the library stops,
+from weights computed in mpmath; the cost guards count calls rather than
+timing anything.
 """
 
 from __future__ import annotations
@@ -13,15 +15,23 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bohrad.radii
 from bohrad import (
+    DomainError,
     ExtremalParams,
+    ParameterError,
     TruncationError,
+    UnsupportedInputError,
     WeightFamily,
+    analytic_problem,
+    closed_form_radius,
+    empirical_bohr_radius,
     harmonic_extremal,
     harmonic_functional,
+    harmonic_problem,
     lambda_one,
     lambda_zero,
     majorant,
@@ -29,8 +39,9 @@ from bohrad import (
     q_functional,
     refined_functional,
     subordination_extremal,
+    subordination_problem,
 )
-from bohrad.functionals import _weighted_tail
+from bohrad.functionals import _extremal_a_term, _weighted_tail
 
 _DPS = 50
 _ORACLE_TERMS = 4600  # r^4600 * 4600^2 < 1e-30 at r = 0.98
@@ -55,6 +66,11 @@ _FAMILIES = [
     ("power", WeightFamily.power(), lambda M: [mp.mpf(1)] * (M + 1)),
     ("even", WeightFamily.even(), lambda M: [mp.mpf(1 - n % 2) for n in range(M + 1)]),
     ("odd", WeightFamily.odd_with_unit_head(), lambda M: [mp.mpf(1 if n == 0 else n % 2) for n in range(M + 1)]),
+    (
+        "shifted_linear(2)",
+        WeightFamily.shifted_linear(2),
+        lambda M: [mp.mpf(1)] + [mp.mpf(n + 1 if n >= 2 else 0) for n in range(1, M + 1)],
+    ),
     (
         "shifted_linear(3)",
         WeightFamily.shifted_linear(3),
@@ -137,6 +153,9 @@ class TestAccuracyAgainstMpmath:
         p=st.floats(min_value=0.1, max_value=2.0),
         k=st.floats(min_value=0.0, max_value=1.0),
     )
+    # the weighted sum once stopped on its tail alone, not counting the error
+    # the tail itself was summed to: 1.02e-12 off here
+    @example(index=7, r=0.90625, a=0.5, gamma=0.0, p=1.0, k=0.0)
     def test_functionals_match_50_digit_sums(self, index, r, a, gamma, p, k):
         label, family, _ = _FAMILIES[index]
         with mp.workdps(_DPS):
@@ -164,6 +183,113 @@ class TestAccuracyAgainstMpmath:
         }
         for name, (value, want) in got.items():
             assert _close(value, want), (label, name, value, float(want))
+
+
+_BUILT_IN = [i for i, (_, family, _) in enumerate(_FAMILIES) if family._power_series]
+_CUSTOM = WeightFamily.custom(_custom_rule, r_max=1.0)
+
+
+def _problems(family, p, gamma, k):
+    return {
+        "analytic, Lambda = 0": analytic_problem(family, p, gamma, lambda_zero),
+        "analytic, Lambda = 1": analytic_problem(family, p, gamma, lambda_one),
+        "harmonic": harmonic_problem(family, p, gamma, k),
+        "subordination": subordination_problem(family, k),
+    }
+
+
+class TestClosedFormProblems:
+    def test_every_built_in_family_takes_the_closed_route(self):
+        assert [_FAMILIES[i][0] for i in _BUILT_IN] == [label for label, _, _ in _FAMILIES[:-1]]
+        assert not _CUSTOM._power_series
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.sampled_from(_BUILT_IN),
+        r=st.floats(min_value=0.0, max_value=0.98),
+        a=st.floats(min_value=0.05, max_value=0.99999),
+        gamma=st.floats(min_value=0.0, max_value=0.9),
+        p=st.floats(min_value=0.1, max_value=2.0),
+        k=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_problems_match_50_digit_sums(self, index, r, a, gamma, p, k):
+        label, family, _ = _FAMILIES[index]
+        with mp.workdps(_DPS):
+            weights, tails = _oracle_weights_and_tails(index, r)
+            moduli = _mobius_moduli(a, gamma)
+            body = mp.fsum(moduli[n] * weights[n] for n in range(1, len(weights)))
+            head = weights[0] * moduli[0] ** mp.mpf(p)
+            want = {
+                "analytic, Lambda = 0": head + body,
+                "analytic, Lambda = 1": head + body + _oracle_a_term(moduli, weights, tails),
+                "harmonic": head + (1 + mp.mpf(k)) * body,
+                "subordination": (1 + mp.mpf(k)) * tails[1],
+            }
+        for name, problem in _problems(family, p, gamma, k).items():
+            value = problem.evaluate(a, r)
+            assert _close(value, want[name]), (label, name, value, float(want[name]))
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("a", [0.2, 0.9, 0.999])
+    def test_custom_rule_keeps_the_summed_route(self, a, r):
+        p, gamma, k = 1.5, 0.3, 0.4
+        f = mobius_extremal(ExtremalParams(a, gamma))
+        summed = {
+            "analytic, Lambda = 0": refined_functional(f, _CUSTOM, p, gamma, lambda_zero, r),
+            "analytic, Lambda = 1": refined_functional(f, _CUSTOM, p, gamma, lambda_one, r),
+            "harmonic": harmonic_functional(harmonic_extremal(ExtremalParams(a, gamma, k=k)), _CUSTOM, p, r),
+            "subordination": q_functional(subordination_extremal(k).fmap, _CUSTOM, r),
+        }
+        for name, problem in _problems(_CUSTOM, p, gamma, k).items():
+            assert problem.evaluate(a, r) == summed[name], name
+
+    def test_empirical_radius_builds_no_stream(self, monkeypatch):
+        built = []
+        for name in ("mobius_extremal", "harmonic_extremal"):
+            make = getattr(bohrad.radii, name)
+            monkeypatch.setattr(bohrad.radii, name, lambda *args, make=make, **kw: built.append(1) or make(*args, **kw))
+        problem = analytic_problem(WeightFamily.power_alpha(1), 1.5, 0.3, lambda_one)
+        value = empirical_bohr_radius(problem)
+        radius = closed_form_radius("weighted_n", p=1.5, gamma=0.3)
+        assert radius - 1e-9 <= value <= radius + 0.01
+        assert built == []
+
+    @pytest.mark.parametrize("family", [WeightFamily.hypergeometric(0.5, 1.5, 2.5), _CUSTOM], ids=["built-in", "custom"])
+    def test_error_paths_unchanged(self, family):
+        problems = _problems(family, 1.0, 0.2, 0.5)
+        for name, problem in problems.items():
+            with pytest.raises(DomainError):
+                problem.evaluate(0.9, 1.0)
+            if name != "subordination":  # its extremal takes no a
+                with pytest.raises(ParameterError):
+                    problem.evaluate(1.0, 0.5)
+        for lam in (-0.5, 1.5):
+            with pytest.raises(ParameterError):
+                analytic_problem(family, 1.0, 0.2, lambda r, lam=lam: lam).evaluate(0.9, 0.5)
+
+    def test_refinement_term_rejects_moduli_above_one(self):
+        # no h_a has |a_1| = lead * q > 1; a stand-in with lead = 3, q = 1/2 does
+        params = type("Moduli", (), {"head": 0.5, "lead": 3.0, "q": 0.5})()
+        with pytest.raises(UnsupportedInputError):
+            _extremal_a_term(params, WeightFamily.power(), 0.5, 1e-12)
+
+
+_GAUSS_FAMILIES = [i for i, (label, _, _) in enumerate(_FAMILIES) if label.startswith("hypergeom")]
+
+
+class TestGaussTailSweep:
+    @pytest.mark.parametrize("index", _GAUSS_FAMILIES, ids=lambda i: _FAMILIES[i][0])
+    def test_subordination_sum_within_contract_near_r_09(self, index):
+        # q of the subordination extremal at k = 0 is Phi_1(r) = |2F1 - 1|
+        label, family, _ = _FAMILIES[index]
+        a, b, c = (family.params[key] for key in "abc")
+        fmap = subordination_extremal(0.0).fmap
+        for j in range(16):
+            r = 0.9 + j / 320
+            with mp.workdps(_DPS):
+                want = abs(mp.hyp2f1(a, b, c, mp.mpf(r)) - 1)
+            got = q_functional(fmap, family, r)
+            assert _close(got, want), (label, r, got, float(want))
 
 
 class TestTermCaps:
