@@ -377,16 +377,11 @@ def analytic_problem(
     check_p(p)
     check_gamma(gamma)
 
-    if family._power_series:
-
-        def evaluate(a: float, r: float) -> float:
-            return _extremal_refined(ExtremalParams(a=a, gamma=gamma), family, p, lam, r)
-
-    else:
-
-        def evaluate(a: float, r: float) -> float:
-            stream = mobius_extremal(ExtremalParams(a=a, gamma=gamma))
-            return refined_functional(stream, family, p, gamma, lam, r)
+    def evaluate(a: float, r: float) -> float:
+        params = ExtremalParams(a=a, gamma=gamma)
+        if family._power_series:
+            return _extremal_refined(params, family, p, lam, r)
+        return refined_functional(mobius_extremal(params), family, p, gamma, lam, r)
 
     return BohrProblem(
         evaluate=evaluate,
@@ -406,16 +401,11 @@ def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> 
     check_gamma(gamma)
     check_k(k)
 
-    if family._power_series:
-
-        def evaluate(a: float, r: float) -> float:
-            return _extremal_sum(ExtremalParams(a=a, gamma=gamma, k=k), family, p, r)
-
-    else:
-
-        def evaluate(a: float, r: float) -> float:
-            fmap = harmonic_extremal(ExtremalParams(a=a, gamma=gamma, k=k))
-            return harmonic_functional(fmap, family, p, r)
+    def evaluate(a: float, r: float) -> float:
+        params = ExtremalParams(a=a, gamma=gamma, k=k)
+        if family._power_series:
+            return _extremal_sum(params, family, p, r)
+        return harmonic_functional(harmonic_extremal(params), family, p, r)
 
     return BohrProblem(
         evaluate=evaluate,
@@ -433,15 +423,10 @@ def subordination_problem(family: WeightFamily, k: float) -> BohrProblem:
     check_k(k)
     witness = subordination_extremal(k)
 
-    if family._power_series:
-
-        def evaluate(a: float, r: float) -> float:
+    def evaluate(a: float, r: float) -> float:
+        if family._power_series:
             return _subordination_q(k, family, r)
-
-    else:
-
-        def evaluate(a: float, r: float) -> float:
-            return q_functional(witness.fmap, family, r)
+        return q_functional(witness.fmap, family, r)
 
     return BohrProblem(
         evaluate=evaluate,
