@@ -224,33 +224,40 @@ def _extremal_sum(params: ExtremalParams, family: WeightFamily, p: float, r: flo
 
 
 def _extremal_a_term(params: ExtremalParams, family: WeightFamily, r: float, tol: float) -> float:
-    """A(h_a, r) from t_n = |a_n|^{2n} = (lead q^n)^{2n} and N fixed up front.
+    """A(h_a, r) from t_n = |a_n|^{2n} = (lead q^n)^{2n}, to an index N fixed in advance.
 
-    Every bracket phi_{2n}(r)/(1 + |a_0|) + Phi_{2n+1}(r) is at most Phi_1(r),
-    and the ratios rho_n = t_{n+1}/t_n = lead^2 q^{4n+2} fall as n grows, so
-    the terms past N add at most Phi_1(r) t_{N+1}/(1 - rho_{N+1}); N is the
-    first index where that is <= tol/8.  The brackets of n <= N come from
-    one block of weights and one tail call at index 2N + 1.
+    Past N every bracket phi_{2n}(r)/(1 + |a_0|) + Phi_{2n+1}(r) is at most
+    Phi_{2N+1}(r), and the ratios rho_n = t_{n+1}/t_n = lead^2 q^{4n+2} fall
+    as n grows, so the terms past N add at most
+    Phi_{2N+1}(r) t_{N+1}/(1 - rho_{N+1}).  N >= 1 is the first index where
+    that is <= tol/8 with 1 in place of Phi_{2N+1}(r), and the brackets are
+    one block of weights with one tail call, at 2N + 1.  A tail above 1
+    bounds every later one, so N is then chosen again with it in place of 1
+    and a second block extends the first.
     """
     inner = tol / 16.0
     head, lead, q = params.head, params.lead, params.q
-    bound = tail_value(family, 1, r, inner) + inner
-    powers = []
-    n = 1
+    total, bound, n = 0.0, 1.0, 1
     while True:
-        an = lead * q**n
-        if an > 1.0:
-            raise UnsupportedInputError(f"|a_{n}|={an} > 1; the refinement series need not converge")
-        t = _modulus_power(an, n)
-        if bound * t <= tol / 8.0 * (1.0 - lead * lead * q ** (4 * n + 2)):
-            break
-        powers.append(t)
-        n += 1
-    total = 0.0
-    brackets = _weights_and_tails(family, r, inner, 2, 2 * len(powers) + 1)
-    for t, (_, phi, tail) in zip(powers, itertools.islice(brackets, 0, None, 2)):
-        total += t * (phi / (1.0 + head) + tail)
-    return total
+        start, powers = n, []
+        while True:
+            an = lead * q**n
+            if an > 1.0:
+                raise UnsupportedInputError(f"|a_{n}|={an} > 1; the refinement series need not converge")
+            t = _modulus_power(an, n)
+            if n > 1 and bound * t <= tol / 8.0 * (1.0 - lead * lead * q ** (4 * n + 2)):
+                break
+            powers.append(t)
+            n += 1
+        if not powers:
+            return total
+        brackets = _weights_and_tails(family, r, inner, 2 * start, 2 * n - 1)
+        for t, (_, phi, tail) in zip(powers, itertools.islice(brackets, 0, None, 2)):
+            total += t * (phi / (1.0 + head) + tail)
+        # the last tail read is Phi_{2n-1}(r), at the block's end
+        if tail + inner <= bound:
+            return total
+        bound = tail + inner
 
 
 def _extremal_refined(

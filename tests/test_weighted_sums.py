@@ -202,6 +202,7 @@ class TestClosedFormProblems:
     def test_every_built_in_family_takes_the_closed_route(self):
         assert [_FAMILIES[i][0] for i in _BUILT_IN] == [label for label, _, _ in _FAMILIES[:-1]]
         assert not _CUSTOM._power_series
+        assert not WeightFamily("raw", _custom_rule)._power_series
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -212,6 +213,8 @@ class TestClosedFormProblems:
         p=st.floats(min_value=0.1, max_value=2.0),
         k=st.floats(min_value=0.0, max_value=1.0),
     )
+    # Phi_{2N+1}(0.98) > 1 here, so the refinement term reads a second block
+    @example(index=6, r=0.98, a=0.9, gamma=0.3, p=1.0, k=0.5)
     def test_problems_match_50_digit_sums(self, index, r, a, gamma, p, k):
         label, family, _ = _FAMILIES[index]
         with mp.workdps(_DPS):
