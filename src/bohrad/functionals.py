@@ -202,11 +202,9 @@ def q_functional(fmap: HarmonicMap, family: WeightFamily, r: float, tol: float =
 
 # --- the extremals on power-series weights -----------------------------
 #
-# For phi_n(r) = c_n r^n (WeightFamily._power_series) the geometric moduli
-# |a_n| = lead q^n of the extremal h_a sum in closed form,
-# sum_{n>=1} lead q^n phi_n(r) = lead * Phi_1(q r), and the refinement term
-# stops at an index fixed before any weight is read.  Each function below
-# equals the summed functional on the extremal's streams to within tol.
+# On families with phi_n(r) = c_n r^n (WeightFamily._power_series) each
+# function below equals the summed functional on the extremal's streams to
+# within tol, from one to three tail values (see the extremal module).
 
 
 def _extremal_sum(params: ExtremalParams, family: WeightFamily, p: float, r: float, tol: float = 1e-12) -> float:
