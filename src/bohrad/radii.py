@@ -9,10 +9,14 @@ on (0, 1):
 
 For power weights these have elementary roots; the catalog stores every such
 closed form, and solve_radius provides the matching bracketed bisection so
-the two routes can always be compared.  Sharpness is checked operationally:
-just beyond a radius, some member of the extremal family must push its
-functional past the threshold phi_0(r) (times the distance d for the
-subordination case).
+the two routes can always be compared.  It brackets the root between two
+points of a 1e-3 grid: on the built-in families, whose gap rises with r, by
+bisecting the grid's indices; on custom rules by scanning the grid upward,
+so a gap that changes sign more than once yields its first root.
+
+Sharpness is checked operationally: just beyond a radius, some member of the
+extremal family must push its functional past the threshold phi_0(r) (times
+the distance d for the subordination case).
 """
 
 from __future__ import annotations
@@ -80,19 +84,59 @@ class BohrProblem:
     name: str = "bohr-problem"
 
 
+def _grid(i: int) -> float:
+    """The i-th point of the SCAN_STEP grid, the last one clipped to _R_HIGH."""
+    return min(i * SCAN_STEP, _R_HIGH)
+
+
+def _first_past(past: Callable[[float], bool], monotone: bool) -> int | None:
+    """The first index i >= 1 with past(_grid(i)), or None when no grid point passes.
+
+    A scan reads the grid upward.  A monotone past (false, then true for good)
+    is instead bisected over the indices, about log2(1/SCAN_STEP) calls, and
+    finds the same index: the last grid point is read only once every point
+    below it fails, as the scan reads it.  A bisection that raises a numerical
+    error (a point far past the root, where a tail overflows or does not
+    converge) restarts as the scan, which never reads such points.
+    """
+    n = math.ceil(1.0 / SCAN_STEP)
+    start = 1
+    if monotone:
+        lo, hi = 1, n  # past fails below lo; past holds at hi, or hi = n is unread
+        try:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if past(_grid(mid)):
+                    hi = mid
+                else:
+                    lo = mid + 1
+        except ArithmeticError:
+            pass
+        else:
+            if hi < n:
+                return hi
+            start = n
+    for i in range(start, n + 1):
+        if past(_grid(i)):
+            return i
+    return None
+
+
 def _bracket(
-    past: Callable[[float], bool], width: float, at_origin: BohrError
+    past: Callable[[float], bool], width: float, at_origin: BohrError, monotone: bool = False
 ) -> tuple[float, float | None, int]:
     """Bracket and bisect the first r in (0, 1) at which past(r) holds.
 
-    Scans up from _R_LOW in SCAN_STEP steps; when past(_R_LOW) already holds,
-    halves the floor instead until past fails, and raises at_origin once past
-    holds down to the smallest normal float.  Then halves the bracket
-    (lo, hi), past(lo) false and past(hi) true, until hi - lo <= width or
-    _MAX_BISECT halvings; below SCAN_STEP the width shrinks in proportion
-    to hi, so tiny roots keep their relative accuracy.  Returns (lo, hi,
-    halvings); hi is None, and lo the last point scanned, when past never
-    holds up to _R_HIGH.
+    Looks for the first point of the SCAN_STEP grid above _R_LOW where past
+    holds: by a scan, or by bisecting the grid indices when the caller knows
+    past is monotone (see _first_past; both give the same point).  When
+    past(_R_LOW) already holds, halves the floor instead until past fails,
+    and raises at_origin once past holds down to the smallest normal float.
+    Then halves the bracket (lo, hi), past(lo) false and past(hi) true,
+    until hi - lo <= width or _MAX_BISECT halvings; below SCAN_STEP the
+    width shrinks in proportion to hi, so tiny roots keep their relative
+    accuracy.  Returns (lo, hi, halvings); hi is None, and lo is _R_HIGH,
+    when past never holds up to _R_HIGH.
     """
     lo, hi = _R_LOW, None
     if past(lo):
@@ -103,14 +147,12 @@ def _bracket(
             if not past(lo):
                 break
     else:
-        for i in range(1, math.ceil(1.0 / SCAN_STEP) + 1):
-            r = min(i * SCAN_STEP, _R_HIGH)
-            if past(r):
-                hi = r
-                break
-            lo = r
-        else:
-            return lo, None, 0
+        i = _first_past(past, monotone)
+        if i is None:
+            return _R_HIGH, None, 0
+        if i > 1:
+            lo = _grid(i - 1)
+        hi = _grid(i)
     halvings = 0
     while hi - lo > width * min(1.0, hi / SCAN_STEP) and halvings < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
@@ -130,10 +172,15 @@ def solve_radius(
 ) -> RadiusResult:
     """Smallest r in (0, 1) with lhs_scale * Phi_1(r) = rhs_scale * phi_0(r).
 
-    Scans outward in steps of 1e-3 for the first sign change of the gap
-    lhs_scale * Phi_1 - rhs_scale * phi_0 (negative below the radius), then
-    bisects the bracket down to tol (relative to SCAN_STEP below it).  A
-    root below the scan's start 1e-9 is found by walking the start toward 0.
+    Brackets the first sign change of the gap lhs_scale * Phi_1 -
+    rhs_scale * phi_0 (negative below the radius) between two neighbouring
+    points of a 1e-3 grid, then bisects the bracket down to tol (relative to
+    SCAN_STEP below it).  On the built-in families (phi_n(r) = c_n r^n with
+    c_n >= 0) the gap rises with r, so the grid point is found by bisecting
+    the grid, in about ten gap evaluations; custom rules scan the grid
+    upward, so they still get the smallest root.  Both routes give the same
+    bracket.  A root below the grid's start 1e-9 is found by walking the
+    start toward 0.
     """
     if lhs_scale <= 0.0 or rhs_scale <= 0.0:
         raise ParameterError("both equation scales must be positive")
@@ -150,6 +197,7 @@ def solve_radius(
         lambda r: gap(r) >= 0.0,
         2.0 * tol,
         HypothesisError("weight-series condition already fails as r -> 0+; no positive radius exists"),
+        monotone=family._power_series,
     )
     if hi is None:
         raise NoRootError("gap never changes sign on (0, 1); the series stays subcritical")
@@ -477,7 +525,9 @@ def empirical_bohr_radius(
         raise ParameterError("a_grid must be nonempty")
 
     def excess(r: float) -> float:
-        return max(problem.evaluate(a, r) - problem.threshold(r) for a in a_grid)
+        # rounding x - t is monotone in x, so this is the max of the rounded
+        # differences, with one threshold read per r
+        return max([problem.evaluate(a, r) for a in a_grid]) - problem.threshold(r)
 
     lo, hi, _ = _bracket(lambda r: excess(r) > 0.0, r_tol, NoRootError("inequality already fails as r -> 0+"))
     return _R_HIGH if hi is None else 0.5 * (lo + hi)

@@ -185,11 +185,12 @@ class WeightFamily:
         """
         params = HypergeomParams(a, b, c)
         coeffs = [1.0]  # signed gamma_n, grown on demand
+        ratios = []  # gamma_{n+1}/gamma_n, grown with coeffs
 
         def coeff(n: int) -> float:
             while len(coeffs) <= n:
-                m = len(coeffs) - 1
-                coeffs.append(coeffs[-1] * params.term_ratio(m))
+                ratios.append(params.term_ratio(len(ratios)))
+                coeffs.append(coeffs[-1] * ratios[-1])
             return coeffs[n]
 
         # gamma_{n+1}/gamma_n changes sign only where n passes -a, -b or -c, so
@@ -222,7 +223,8 @@ class WeightFamily:
                 t = abs(coeff(n)) * rpow
                 total += t
                 # coefficient ratios tend to 1, so terms eventually decay like r^n
-                q = abs(params.term_ratio(n)) * r
+                coeff(n + 1)  # grows ratios past n
+                q = abs(ratios[n]) * r
                 q = min(max(q, r), 1.0 - 1e-12)
                 bound = t * q / (1.0 - q)
                 if bound < 0.5 * tol:

@@ -7,8 +7,11 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrad import (
+    BohrError,
     BohrProblem,
     HypothesisError,
     NoRootError,
@@ -32,6 +35,7 @@ from bohrad import (
     weight_at,
 )
 from bohrad.cli import main
+from bohrad.radii import _solve_kind
 
 POWER = WeightFamily.power()
 
@@ -115,6 +119,110 @@ class TestSolveRadius:
             solve_radius(POWER, 0.0, 1.0)
         with pytest.raises(ParameterError):
             solve_radius(POWER, 2.0, -1.0)
+
+
+def _scanned(family: WeightFamily) -> WeightFamily:
+    """The same family, marked as not a power series: its radii take the grid scan."""
+    family._power_series = False
+    return family
+
+
+def _outcome(solve, family):
+    try:
+        return solve(family)
+    except (BohrError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# (label, constructor, largest p drawn): hypergeometric(-0.5, 1, 1) has
+# Phi_1 = 1 - sqrt(1 - r), so p (1 + gamma) near 2 puts its root within 1e-3
+# of 1, where each Gauss tail sums up to 1e6 terms; test_root_in_last_grid_cell
+# covers that corner once
+_BUILT_IN_FAMILIES = [
+    ("power", WeightFamily.power, 2.0),
+    ("even", WeightFamily.even, 2.0),
+    ("odd_with_unit_head", WeightFamily.odd_with_unit_head, 2.0),
+    ("shifted_linear(2)", lambda: WeightFamily.shifted_linear(2), 2.0),
+    ("power_alpha(1)", lambda: WeightFamily.power_alpha(1.0), 2.0),
+    ("power_alpha(2.5, 3)", lambda: WeightFamily.power_alpha(2.5, 3), 2.0),
+    ("hypergeometric(1.5, 0.5, 2)", lambda: WeightFamily.hypergeometric(1.5, 0.5, 2.0), 2.0),
+    ("hypergeometric(-0.5, 1, 1)", lambda: WeightFamily.hypergeometric(-0.5, 1.0, 1.0), 0.9),
+]
+
+
+class TestGridBisection:
+    """Built-in families bisect the bracket's grid index; custom rules scan the grid."""
+
+    @pytest.mark.parametrize("label,make,p_max", _BUILT_IN_FAMILIES, ids=[f[0] for f in _BUILT_IN_FAMILIES])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        kind=st.sampled_from(["analytic", "harmonic", "subordination"]),
+        p_share=st.floats(min_value=1e-6, max_value=1.0),
+        gamma=st.floats(min_value=0.0, max_value=0.999),
+        k=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_same_result_as_the_scan(self, label, make, p_max, kind, p_share, gamma, k):
+        def solve(family):
+            return _solve_kind(kind, family, p_share * p_max, gamma, k)
+
+        assert make()._power_series
+        assert _outcome(solve, make()) == _outcome(solve, _scanned(make()))
+
+    def test_root_in_last_grid_cell(self):
+        # root 1 - 0.04^2 = 0.9984: the bisection must not read the grid's last
+        # point, 1 - 1e-9, where this tail does not converge, before 0.999
+        def solve(family):
+            return analytic_radius(family, 1.92, 0.0)
+
+        family = WeightFamily.hypergeometric(-0.5, 1.0, 1.0)
+        result = solve(family)
+        assert result.value == pytest.approx(0.9984, abs=1e-10)
+        assert result == solve(_scanned(WeightFamily.hypergeometric(-0.5, 1.0, 1.0)))
+
+    def test_overflow_past_the_root_falls_back_to_the_scan(self):
+        # the first bisection point 0.501 lies far past the root near 1.6e-3,
+        # where the Lerch series of n^140 r^n overflows; the scan never reads it
+        def solve(family):
+            return analytic_radius(family, 1.0, 0.0)
+
+        family = WeightFamily.power_alpha(140.0, 100)
+        with pytest.raises(OverflowError):
+            tail_value(family, 1, 0.501)
+        result = solve(family)
+        assert 1e-3 < result.value < 2e-3
+        assert result == solve(_scanned(WeightFamily.power_alpha(140.0, 100)))
+
+    def test_about_ten_gap_evaluations_before_halving(self):
+        family = WeightFamily.hypergeometric(1.5, 0.5, 2.0)
+        tail, calls = family._tail, []
+
+        def counted(N, r, tol):
+            calls.append(r)
+            return tail(N, r, tol)
+
+        family._tail = counted
+        result = analytic_radius(family, 1.0, 0.3)
+        # past(1e-9), ceil(log2 1000) grid points, the halvings and the residual
+        assert len(calls) <= 11 + result.iterations + 2
+
+    def test_no_root_still_raises(self):
+        with pytest.raises(NoRootError):
+            solve_radius(WeightFamily.power(), 1e-12, 1.0)
+
+    def test_custom_rule_keeps_the_scan(self):
+        # Phi_1 - phi_0 = (r - 0.2)(r - 0.25)(r - 0.7): >= 0 on [0.2, 0.25],
+        # negative at 0.5, >= 0 again from 0.7 on; only tail(1, r) is read
+        def tail(N, r):
+            return 1.0 + (r - 0.2) * (r - 0.25) * (r - 0.7)
+
+        def make():
+            return WeightFamily.custom(lambda n, r: 1.0 if n == 0 else 0.0, r_max=1.0, tail=tail)
+
+        assert solve_radius(make(), 1.0, 1.0).value == pytest.approx(0.2, abs=1e-12)
+        # bisecting the grid, which assumes a rising gap, would land on 0.7
+        bisected = make()
+        bisected._power_series = True
+        assert solve_radius(bisected, 1.0, 1.0).value == pytest.approx(0.7, abs=1e-12)
 
 
 class TestNamedRadii:
