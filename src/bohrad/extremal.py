@@ -18,11 +18,11 @@ radius here sharp.  The harmonic extremal adds the co-analytic stream
 g(z) = k z/(1-z) and distance 1/2 from psi(0) to the boundary.
 
 ExtremalParams carries head, lead and q, so the moduli are written down once.
-For the built-in weight families, phi_n(r) = c_n r^n, the geometric tail
-sums in closed form,
+On any weight family the geometric moduli give
 
-    sum_{n>=1} |a_n| phi_n(r) = lead * Phi_1(q r),
+    sum_{n>=1} |a_n| phi_n(r) = lead * sum_{n>=1} q^n phi_n(r),
 
+which is lead * Phi_1(q r) for the built-in families, phi_n(r) = c_n r^n,
 and the subordination extremal's sum_{n>=1} (|a_n| + |b_n|) phi_n(r) is
 (1 + k) Phi_1(r); the problems in radii evaluate these without building a
 stream.

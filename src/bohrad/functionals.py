@@ -200,11 +200,24 @@ def q_functional(fmap: HarmonicMap, family: WeightFamily, r: float, tol: float =
     return _weighted_tail(lambda n: fmap.h.at(n) + fmap.g.at(n), family, r, tol)
 
 
-# --- the extremals on power-series weights -----------------------------
+# --- the extremals, on any weight family --------------------------------
 #
-# On families with phi_n(r) = c_n r^n (WeightFamily._power_series) each
-# function below equals the summed functional on the extremal's streams to
-# within tol, from one to three tail values (see the extremal module).
+# Each function below equals the summed functional on the extremal's streams
+# to within tol, on any weight family, and builds no stream: the moduli of h_a
+# are lead * q^n, so the weighted sum is lead * sum_{n>=1} q^n phi_n(r), one
+# tail value on the built-in families (see the extremal module).
+
+
+def _geometric_tail(family: WeightFamily, q: float, r: float, tol: float) -> float:
+    """sum_{n>=1} q^n phi_n(r) for q in (0, 1], reading every tail at tol.
+
+    With phi_n(r) = c_n r^n (WeightFamily._power_series) this is the one
+    tail value Phi_1(q r); on any other family it is the weighted sum, whose
+    tails are read at 1/16 of its stop threshold, here 16 tol.
+    """
+    if family._power_series:
+        return tail_value(family, 1, q * r, tol)
+    return _weighted_tail(lambda n: q**n, family, r, 16.0 * tol)
 
 
 def _extremal_sum(params: ExtremalParams, family: WeightFamily, p: float, r: float, tol: float = 1e-12) -> float:
@@ -217,7 +230,7 @@ def _extremal_sum(params: ExtremalParams, family: WeightFamily, p: float, r: flo
     scale = (1.0 + params.k) * params.lead
     value = weight_at(family, 0, r) * params.head**p
     # the tail error is multiplied by scale, which exceeds 1 for small a
-    value += scale * tail_value(family, 1, params.q * r, tol / 16.0 / max(1.0, scale))
+    value += scale * _geometric_tail(family, params.q, r, tol / 16.0 / max(1.0, scale))
     return value
 
 
@@ -261,7 +274,7 @@ def _extremal_a_term(params: ExtremalParams, family: WeightFamily, r: float, tol
 def _extremal_refined(
     params: ExtremalParams, family: WeightFamily, p: float, lam: LambdaWeight, r: float, tol: float = 1e-12
 ) -> float:
-    """refined_functional(mobius_extremal(params), ...) on a power-series family."""
+    """refined_functional(mobius_extremal(params), ...), on any weight family."""
     value = _extremal_sum(params, family, p, r, tol)
     lam_value = _lambda_value(lam, r)
     if lam_value > 0.0:

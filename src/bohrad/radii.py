@@ -27,17 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import BohrError, HypothesisError, NoRootError, ParameterError, check_gamma, check_k, check_p
-from .extremal import ExtremalParams, harmonic_extremal, mobius_extremal, subordination_extremal
-from .functionals import (
-    LambdaWeight,
-    _extremal_refined,
-    _extremal_sum,
-    _subordination_q,
-    harmonic_functional,
-    lambda_zero,
-    q_functional,
-    refined_functional,
-)
+from .extremal import ExtremalParams, subordination_extremal
+from .functionals import LambdaWeight, _extremal_refined, _extremal_sum, _subordination_q, lambda_zero
 from .weights import WeightFamily, weight_at
 
 SCAN_STEP = 1e-3
@@ -417,22 +408,14 @@ def analytic_problem(
 ) -> BohrProblem:
     """Refined functional on the Moebius extremal family vs phi_0(r).
 
-    On the built-in families (phi_n(r) = c_n r^n) evaluate(a, r) is the closed
-    form phi_0(r) |a_0|^p + lead * Phi_1(q r) + Lambda(r) * A with A summed to
-    an index fixed in advance; on custom rules it is refined_functional of
-    the extremal's stream.
+    evaluate(a, r) is phi_0(r) |a_0|^p + lead * sum_{n>=1} q^n phi_n(r)
+    + Lambda(r) * A, with A summed to an index fixed in advance; on the
+    built-in families (phi_n(r) = c_n r^n) the sum is Phi_1(q r).
     """
     check_p(p)
     check_gamma(gamma)
-
-    def evaluate(a: float, r: float) -> float:
-        params = ExtremalParams(a=a, gamma=gamma)
-        if family._power_series:
-            return _extremal_refined(params, family, p, lam, r)
-        return refined_functional(mobius_extremal(params), family, p, gamma, lam, r)
-
     return BohrProblem(
-        evaluate=evaluate,
+        evaluate=lambda a, r: _extremal_refined(ExtremalParams(a=a, gamma=gamma), family, p, lam, r),
         threshold=lambda r: weight_at(family, 0, r),
         name=f"analytic(p={p}, gamma={gamma})",
     )
@@ -441,22 +424,14 @@ def analytic_problem(
 def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> BohrProblem:
     """Harmonic functional on the k-dilated extremal family vs phi_0(r).
 
-    On the built-in families evaluate(a, r) is the closed form
-    phi_0(r) |a_0|^p + (1 + k) * lead * Phi_1(q r); on custom rules it is
-    harmonic_functional of the extremal's streams.
+    evaluate(a, r) is phi_0(r) |a_0|^p + (1 + k) * lead * sum_{n>=1} q^n phi_n(r);
+    on the built-in families the sum is Phi_1(q r).
     """
     check_p(p)
     check_gamma(gamma)
     check_k(k)
-
-    def evaluate(a: float, r: float) -> float:
-        params = ExtremalParams(a=a, gamma=gamma, k=k)
-        if family._power_series:
-            return _extremal_sum(params, family, p, r)
-        return harmonic_functional(harmonic_extremal(params), family, p, r)
-
     return BohrProblem(
-        evaluate=evaluate,
+        evaluate=lambda a, r: _extremal_sum(ExtremalParams(a=a, gamma=gamma, k=k), family, p, r),
         threshold=lambda r: weight_at(family, 0, r),
         name=f"harmonic(p={p}, gamma={gamma}, k={k})",
     )
@@ -465,19 +440,13 @@ def harmonic_problem(family: WeightFamily, p: float, gamma: float, k: float) -> 
 def subordination_problem(family: WeightFamily, k: float) -> BohrProblem:
     """Tail functional on the fixed subordination extremal vs d * phi_0(r).
 
-    On the built-in families evaluate(a, r) is the closed form (1 + k) Phi_1(r);
-    on custom rules it is q_functional of the extremal's streams.
+    Every modulus |a_n| + |b_n| (n >= 1) of the extremal is 1 + k, so
+    evaluate(a, r) is (1 + k) Phi_1(r) on any weight family.
     """
     check_k(k)
     witness = subordination_extremal(k)
-
-    def evaluate(a: float, r: float) -> float:
-        if family._power_series:
-            return _subordination_q(k, family, r)
-        return q_functional(witness.fmap, family, r)
-
     return BohrProblem(
-        evaluate=evaluate,
+        evaluate=lambda a, r: _subordination_q(k, family, r),
         threshold=lambda r: witness.distance * weight_at(family, 0, r),
         name=f"subordination(k={k})",
     )

@@ -1,11 +1,12 @@
 """Weighted sums and refinement terms: accuracy, term caps and cost.
 
 The sums read the weights in doubling blocks with one tail call per block
-and suffix sums inside it; the problems of the radii layer evaluate the
-extremals on built-in families in closed form instead.  The oracle here sums
-the same series in mpmath at 50 digits, far past where the library stops,
-from weights computed in mpmath; the cost guards count calls rather than
-timing anything.
+and suffix sums inside it.  The problems of the radii layer evaluate the
+extremals from their geometric moduli instead, on every weight family, and
+build no coefficient stream; the summed functionals stay the reference they
+are checked against.  The oracle here sums the same series in mpmath at 50
+digits, far past where the library stops, from weights computed in mpmath;
+the cost guards count calls rather than timing anything.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import bohrad.radii
 from bohrad import (
+    CoefficientStream,
     DomainError,
     ExtremalParams,
     ParameterError,
@@ -27,11 +28,12 @@ from bohrad import (
     UnsupportedInputError,
     WeightFamily,
     analytic_problem,
-    closed_form_radius,
+    analytic_radius,
     empirical_bohr_radius,
     harmonic_extremal,
     harmonic_functional,
     harmonic_problem,
+    harmonic_radius,
     lambda_one,
     lambda_zero,
     majorant,
@@ -206,7 +208,7 @@ class TestClosedFormProblems:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        index=st.sampled_from(_BUILT_IN),
+        index=st.integers(min_value=0, max_value=len(_FAMILIES) - 1),
         r=st.floats(min_value=0.0, max_value=0.98),
         a=st.floats(min_value=0.05, max_value=0.99999),
         gamma=st.floats(min_value=0.0, max_value=0.9),
@@ -215,6 +217,8 @@ class TestClosedFormProblems:
     )
     # Phi_{2N+1}(0.98) > 1 here, so the refinement term reads a second block
     @example(index=6, r=0.98, a=0.9, gamma=0.3, p=1.0, k=0.5)
+    # the custom rule sums sum_{n>=1} q^n phi_n(r) term by term
+    @example(index=len(_FAMILIES) - 1, r=0.98, a=0.999, gamma=0.3, p=1.0, k=0.5)
     def test_problems_match_50_digit_sums(self, index, r, a, gamma, p, k):
         label, family, _ = _FAMILIES[index]
         with mp.workdps(_DPS):
@@ -234,7 +238,8 @@ class TestClosedFormProblems:
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
     @pytest.mark.parametrize("a", [0.2, 0.9, 0.999])
-    def test_custom_rule_keeps_the_summed_route(self, a, r):
+    def test_custom_rule_matches_the_summed_functionals(self, a, r):
+        # the summed functionals stay the reference implementation
         p, gamma, k = 1.5, 0.3, 0.4
         f = mobius_extremal(ExtremalParams(a, gamma))
         summed = {
@@ -244,16 +249,23 @@ class TestClosedFormProblems:
             "subordination": q_functional(subordination_extremal(k).fmap, _CUSTOM, r),
         }
         for name, problem in _problems(_CUSTOM, p, gamma, k).items():
-            assert problem.evaluate(a, r) == summed[name], name
+            value = problem.evaluate(a, r)
+            assert _close(value, summed[name]), (name, value, summed[name])
 
-    def test_empirical_radius_builds_no_stream(self, monkeypatch):
+    @pytest.mark.parametrize("family", [WeightFamily.power_alpha(1), _CUSTOM], ids=["power_alpha(1)", "custom"])
+    @pytest.mark.parametrize("kind", ["analytic", "harmonic"])
+    def test_empirical_radius_builds_no_stream(self, monkeypatch, family, kind):
+        p, gamma, k = 1.5, 0.3, 0.5
+        if kind == "analytic":
+            problem = analytic_problem(family, p, gamma, lambda_one)
+            radius = analytic_radius(family, p, gamma).value
+        else:
+            problem = harmonic_problem(family, p, gamma, k)
+            radius = harmonic_radius(family, p, gamma, k).value
         built = []
-        for name in ("mobius_extremal", "harmonic_extremal"):
-            make = getattr(bohrad.radii, name)
-            monkeypatch.setattr(bohrad.radii, name, lambda *args, make=make, **kw: built.append(1) or make(*args, **kw))
-        problem = analytic_problem(WeightFamily.power_alpha(1), 1.5, 0.3, lambda_one)
+        init = CoefficientStream.__post_init__
+        monkeypatch.setattr(CoefficientStream, "__post_init__", lambda self: built.append(1) or init(self))
         value = empirical_bohr_radius(problem)
-        radius = closed_form_radius("weighted_n", p=1.5, gamma=0.3)
         assert radius - 1e-9 <= value <= radius + 0.01
         assert built == []
 
