@@ -262,22 +262,40 @@ class WeightFamily:
             )
 
     def _series_tail(self, N, r, tol):
-        # Fallback for custom rules: geometric certificate from observed ratios.
+        """Phi_N(r) of a custom rule summed term by term: (value, terms, bound).
+
+        Each term t_n = phi_n(r) gets the bound 4 t_n qhat / (1 - qhat) on what
+        follows it, where qhat is the last ratio t_n / t_m of two positive
+        terms, kept within [r / r_max, 1 - 1e-12] (or [r, 1 - 1e-12] when
+        r_max = 1).  The sum stops after three consecutive terms that are zero
+        or whose bound is below tol, at index i >= 8 past N, and returns that
+        last bound.  The bound is an estimate from observed ratios, not a
+        proof: mass hidden past the stop, such as a rule that is zero except
+        at every 50th index, is missed (ROADMAP item 6).
+        """
         self._check_converges(r)
+        rule = self._rule
         q_floor = r / self.r_max if self.r_max < 1.0 else r
+        q_cap = 1.0 - 1e-12
         total = 0.0
         prev = 0.0
         qhat = q_floor
         small = 0
         for i in range(_MAX_TERMS):
-            n = N + i
-            t = self._rule(n, r)
+            t = rule(N + i, r)
             if t < 0.0:
-                raise ParameterError(f"weight rule returned a negative value at n={n}")
+                raise ParameterError(f"weight rule returned a negative value at n={N + i}")
             total += t
-            if prev > 0.0 and t > 0.0:
-                qhat = max(q_floor, min(t / prev, 1.0 - 1e-12))
             if t > 0.0:
+                if prev > 0.0:
+                    # qhat = max(q_floor, min(t / prev, q_cap)) without the
+                    # builtin calls: min(x, c) keeps x unless c < x, and
+                    # max(f, y) keeps f unless y > f, so these comparisons
+                    # return the same float, ties and NaN included
+                    q = t / prev
+                    if q_cap < q:
+                        q = q_cap
+                    qhat = q if q > q_floor else q_floor
                 prev = t
             bound = 4.0 * t * qhat / (1.0 - qhat)
             if t == 0.0 or bound < tol:
