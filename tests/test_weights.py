@@ -188,6 +188,15 @@ class TestTails:
             rest = abs(mp.hyp2f1(a, b, c, x) - 1 - head)
         assert float(rest) <= summed.bound_on_remainder <= tol
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    def test_sparse_rule_tail_counts_mass_past_a_run_of_zeros(self):
+        # phi_n = r^n when 50 | n: the series stops on the zeros at n = 1..9
+        # and returns 0.0, although sum_{n>=1} r^{50n} is about 1.53 at 0.99
+        fam = WeightFamily.custom(lambda n, r: r**n if n % 50 == 0 else 0.0, r_max=1.0)
+        r, tol = 0.99, 1e-10
+        want = r**50 / (1.0 - r**50)
+        assert abs(tail_sum(fam, 1, r, tol).value - want) <= tol
+
     def test_divergence_outside_declared_radius(self):
         fam = WeightFamily.custom(lambda n, r: (r / 0.8) ** n, r_max=0.8)
         assert tail_value(fam, 1, 0.4) > 0.0
