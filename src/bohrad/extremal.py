@@ -114,6 +114,11 @@ def harmonic_extremal(params: ExtremalParams, order: int | None = None) -> Harmo
     return HarmonicMap(h=h, g=CoefficientStream(produce_g, order_hint=order), k=k)
 
 
+# dist(psi(0), boundary of psi(D)) for psi(z) = 1/(1-z): the subordination
+# threshold's factor, which needs no stream
+_SUBORDINATION_DISTANCE = 0.5
+
+
 @dataclass(frozen=True)
 class SubordinationExtremal:
     """Extremal pair for the subordination radius.
@@ -125,7 +130,7 @@ class SubordinationExtremal:
     """
 
     fmap: HarmonicMap
-    distance: float = 0.5
+    distance: float = _SUBORDINATION_DISTANCE
     psi_prime_at_0: float = 1.0
 
     def __post_init__(self):

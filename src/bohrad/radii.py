@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import BohrError, HypothesisError, NoRootError, ParameterError, check_gamma, check_k, check_p
-from .extremal import ExtremalParams, subordination_extremal
+from .extremal import _SUBORDINATION_DISTANCE, ExtremalParams
 from .functionals import LambdaWeight, _extremal_refined, _extremal_sum, _subordination_q, lambda_zero
 from .weights import WeightFamily, weight_at
 
@@ -444,10 +444,9 @@ def subordination_problem(family: WeightFamily, k: float) -> BohrProblem:
     evaluate(a, r) is (1 + k) Phi_1(r) on any weight family.
     """
     check_k(k)
-    witness = subordination_extremal(k)
     return BohrProblem(
         evaluate=lambda a, r: _subordination_q(k, family, r),
-        threshold=lambda r: witness.distance * weight_at(family, 0, r),
+        threshold=lambda r: _SUBORDINATION_DISTANCE * weight_at(family, 0, r),
         name=f"subordination(k={k})",
     )
 

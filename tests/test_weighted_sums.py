@@ -42,6 +42,7 @@ from bohrad import (
     refined_functional,
     subordination_extremal,
     subordination_problem,
+    subordination_radius,
 )
 from bohrad.functionals import _extremal_a_term, _weighted_tail
 
@@ -253,18 +254,23 @@ class TestClosedFormProblems:
             assert _close(value, summed[name]), (name, value, summed[name])
 
     @pytest.mark.parametrize("family", [WeightFamily.power_alpha(1), _CUSTOM], ids=["power_alpha(1)", "custom"])
-    @pytest.mark.parametrize("kind", ["analytic", "harmonic"])
+    @pytest.mark.parametrize("kind", ["analytic", "harmonic", "subordination"])
     def test_empirical_radius_builds_no_stream(self, monkeypatch, family, kind):
+        # counted from before the problem is built, which is where the
+        # subordination problem used to build its extremal's two streams
+        built = []
+        init = CoefficientStream.__post_init__
+        monkeypatch.setattr(CoefficientStream, "__post_init__", lambda self: built.append(1) or init(self))
         p, gamma, k = 1.5, 0.3, 0.5
         if kind == "analytic":
             problem = analytic_problem(family, p, gamma, lambda_one)
             radius = analytic_radius(family, p, gamma).value
-        else:
+        elif kind == "harmonic":
             problem = harmonic_problem(family, p, gamma, k)
             radius = harmonic_radius(family, p, gamma, k).value
-        built = []
-        init = CoefficientStream.__post_init__
-        monkeypatch.setattr(CoefficientStream, "__post_init__", lambda self: built.append(1) or init(self))
+        else:
+            problem = subordination_problem(family, k)
+            radius = subordination_radius(family, k).value
         value = empirical_bohr_radius(problem)
         assert radius - 1e-9 <= value <= radius + 0.01
         assert built == []
