@@ -265,10 +265,10 @@ class WeightFamily:
         """Phi_N(r) of a custom rule summed term by term: (value, terms, bound).
 
         Each term t_n = phi_n(r) gets the bound 4 t_n qhat / (1 - qhat) on what
-        follows it, where qhat is the last ratio t_n / t_m of two positive
-        terms, kept within [r / r_max, 1 - 1e-12] (or [r, 1 - 1e-12] when
-        r_max = 1).  The sum stops after three consecutive terms that are zero
-        or whose bound is below tol, at index i >= 8 past N, and returns that
+        follows it.  qhat is the ratio of the last two positive terms read,
+        kept within [r / r_max, 1 - 1e-12], and r / r_max until two have been
+        read.  The sum stops after three consecutive terms that are zero or
+        whose bound is below tol, at index i >= 8 past N, and returns that
         last bound.  The bound is an estimate from observed ratios, not a
         proof: mass hidden past the stop, such as a rule that is zero except
         at every 50th index, is missed (ROADMAP item 6).
